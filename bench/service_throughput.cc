@@ -18,6 +18,12 @@
 // behavior) vs 64 persistent pipelined connections. The ratio is the
 // payoff of connection-level pipelining and is CI-gated at ≥ 3×
 // ("pipeline_speedup_x" in BENCH_service.json).
+//
+// A third section is the observability A/B: pipelined untraced `repair`
+// requests against servers with the observability layer off and on. The
+// repairs cross the queue, the search engine and the completion path —
+// every hook the layer adds — and the on/off throughput ratio is CI-gated
+// at ≥ 0.95 ("obs_overhead_ratio").
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -209,13 +215,15 @@ WireRow MeasureSerialConn(int port, int connections, int requests_per_conn) {
 }
 
 /// Persistent pipelined connections: each client keeps one socket and many
-/// requests in flight (chunks of 128, under the loop's pipeline depth).
-WireRow MeasurePipelined(int port, int connections, int requests_per_conn) {
+/// copies of `request` in flight (chunks of 128, under the loop's pipeline
+/// depth). Every reply must be ok.
+WireRow MeasurePipelined(int port, int connections, int requests_per_conn,
+                         const Json& request) {
   Timer timer;  // connection setup included — it is amortized, that's the point
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(connections));
   for (int c = 0; c < connections; ++c) {
-    threads.emplace_back([port, requests_per_conn] {
+    threads.emplace_back([port, requests_per_conn, &request] {
       auto client = WireClient::Connect(port);
       if (!client.ok()) {
         std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
@@ -227,15 +235,18 @@ WireRow MeasurePipelined(int port, int connections, int requests_per_conn) {
         std::vector<std::future<Result<Json>>> pending;
         pending.reserve(static_cast<size_t>(burst));
         for (int i = 0; i < burst; ++i) {
-          Json::Object req;
-          req["op"] = Json("stats");
-          req["tenant"] = Json("wire");
-          pending.push_back((*client)->Call(Json(std::move(req))));
+          pending.push_back((*client)->Call(request));
         }
         for (auto& p : pending) {
           Result<Json> reply = p.get();
           if (!reply.ok()) {
             std::fprintf(stderr, "%s\n", reply.status().ToString().c_str());
+            std::exit(1);
+          }
+          const Json* ok = reply->Get("ok");
+          if (ok == nullptr || !ok->AsBool()) {
+            std::fprintf(stderr, "request failed: %s\n",
+                         reply->Dump().c_str());
             std::exit(1);
           }
         }
@@ -253,9 +264,11 @@ WireRow MeasurePipelined(int port, int connections, int requests_per_conn) {
 
 /// One observability A/B arm: a fresh server + loop with the obs layer on
 /// or off (private registry, so arms and trials never share counters),
-/// driven by the pipelined stats workload. Requests carry no trace in
-/// either arm — this measures what observability costs requests that did
-/// NOT ask for it, the ≤5% contract CI gates.
+/// driven by pipelined repairs. The inline `stats` verb would never reach
+/// the queue, the flight recorder or the search counters; a repair crosses
+/// all of them. Requests carry no trace in either arm — this measures what
+/// observability costs requests that did NOT ask for it, the ≤5% contract
+/// CI gates.
 WireRow MeasureObsMode(bool observability, int connections,
                        int requests_per_conn) {
   obs::MetricsRegistry registry;
@@ -281,7 +294,12 @@ WireRow MeasureObsMode(bool observability, int connections,
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
     std::exit(1);
   }
-  WireRow row = MeasurePipelined(loop.port(), connections, requests_per_conn);
+  Json::Object repair;
+  repair["op"] = Json("repair");
+  repair["tenant"] = Json("wire");
+  repair["tau_r"] = Json(0.5);
+  WireRow row = MeasurePipelined(loop.port(), connections, requests_per_conn,
+                                 Json(std::move(repair)));
   loop.Stop();
   server.Stop();
   return row;
@@ -341,8 +359,12 @@ int main() {
     }
     serial_conn =
         MeasureSerialConn(loop.port(), kConnections, serial_requests_per_conn);
+    Json::Object stats;
+    stats["op"] = Json("stats");
+    stats["tenant"] = Json("wire");
     pipelined = MeasurePipelined(loop.port(), kConnections,
-                                 pipelined_requests_per_conn);
+                                 pipelined_requests_per_conn,
+                                 Json(std::move(stats)));
     loop.Stop();
     server.Stop();
   }
@@ -355,22 +377,31 @@ int main() {
               pipelined.rps(), pipelined.requests);
   std::printf("  pipeline speedup:           %10.2fx\n", speedup);
 
-  // Observability A/B: same binary, obs off vs on, untraced requests.
+  // Observability A/B: same binary, obs off vs on, untraced repairs.
   // Three interleaved trials, best rps per arm, so a noise spike in one
-  // trial can't fail the CI gate (obs_overhead_ratio >= 0.95).
-  const int kObsConnections = 32;
-  const int obs_requests_per_conn = bench::ScaledN(256);
+  // trial can't fail the CI gate (obs_overhead_ratio >= 0.95). Four
+  // connections, each 128 deep, keep the queue full without the client
+  // threads outnumbering the cores: with 32 connections on 4 cores the
+  // ratio swung 0.93-1.07 between runs of one binary, with 4 it stayed
+  // within 0.99-1.01. Each arm sends 16k repairs at scale 0.5 (1-2 s on
+  // 4 cores), well above scheduler noise.
+  const int kObsConnections = 4;
+  const int obs_requests_per_conn = bench::ScaledN(8192);
   double obs_off_rps = 0.0, obs_on_rps = 0.0;
   int obs_requests = 0;
   for (int trial = 0; trial < 3; ++trial) {
-    WireRow off = MeasureObsMode(false, kObsConnections, obs_requests_per_conn);
-    WireRow on = MeasureObsMode(true, kObsConnections, obs_requests_per_conn);
-    if (off.rps() > obs_off_rps) obs_off_rps = off.rps();
-    if (on.rps() > obs_on_rps) obs_on_rps = on.rps();
-    obs_requests = on.requests;
+    // Alternate which arm runs first so an order effect cannot bias the
+    // ratio.
+    for (bool observability : {trial % 2 == 1, trial % 2 == 0}) {
+      WireRow row = MeasureObsMode(observability, kObsConnections,
+                                   obs_requests_per_conn);
+      double& best = observability ? obs_on_rps : obs_off_rps;
+      if (row.rps() > best) best = row.rps();
+      obs_requests = row.requests;
+    }
   }
   const double obs_ratio = obs_off_rps > 0 ? obs_on_rps / obs_off_rps : 0.0;
-  std::printf("\nobservability overhead, %d pipelined clients x %d requests "
+  std::printf("\nobservability overhead, %d pipelined clients x %d repairs "
               "(best of 3):\n",
               kObsConnections, obs_requests_per_conn);
   std::printf("  observability off:          %10.0f req/s\n", obs_off_rps);

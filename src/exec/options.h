@@ -17,12 +17,13 @@ namespace retrust::exec {
 /// this codebase: results are bit-identical for ANY value of num_threads —
 /// parallelism changes wall-clock time, never output.
 struct Options {
-  /// 1 = serial (no pool is created); 0 = std::thread::hardware_concurrency.
+  /// 1 = serial (no pool is created); 0 = std::thread::hardware_concurrency;
+  /// negative = serial.
   int num_threads = 1;
 
   /// The thread count after resolving 0 and clamping to >= 1.
   int ResolvedThreads() const {
-    if (num_threads > 0) return num_threads;
+    if (num_threads != 0) return num_threads > 0 ? num_threads : 1;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
   }

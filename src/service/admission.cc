@@ -64,14 +64,6 @@ double AdmissionController::EstimatedWaitSeconds(size_t queue_depth) const {
          static_cast<double>(workers);
 }
 
-void AdmissionController::Snapshot(ServerStats* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  out->rejected_queue_full = rejected_queue_full_;
-  out->rejected_tenant_cap = rejected_tenant_cap_;
-  out->rejected_deadline = rejected_deadline_;
-  out->rejected_quota = rejected_quota_;
-}
-
 AdmissionController::RejectionCounts AdmissionController::Rejections() const {
   std::lock_guard<std::mutex> lock(mu_);
   RejectionCounts counts;

@@ -32,7 +32,6 @@
 
 #include "src/api/status.h"
 #include "src/service/quota.h"
-#include "src/service/stats.h"
 
 namespace retrust::service {
 
@@ -68,12 +67,10 @@ class AdmissionController {
   /// first latency observation).
   double EstimatedWaitSeconds(size_t queue_depth) const;
 
-  /// Copies the rejection counters into a stats snapshot.
-  void Snapshot(ServerStats* out) const;
-
-  /// Point-in-time rejection tallies, one per gate. Sampled by the metrics
-  /// registry probe (src/obs/metrics.h), which labels each gate as a
-  /// `rejected_total{reason=...}` series.
+  /// Point-in-time rejection tallies, one per gate — the only store of
+  /// rejection counts. Server::Stats() copies them into ServerStats, and
+  /// the metrics probe labels each gate as a `rejected_total{reason=...}`
+  /// series.
   struct RejectionCounts {
     uint64_t queue_full = 0;
     uint64_t tenant_cap = 0;

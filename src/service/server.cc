@@ -144,7 +144,7 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
   // latency) BEFORE invoking the completion, so a caller that wakes from
   // its callback (or future.get()) observes consistent stats — no "reply
   // arrived but completed counter still says 0" window.
-  req->execute = [this, done, run = std::move(run)](
+  req->execute = [this, done, run = std::move(run), on_fail](
                      Session& session, PendingRequest& pending) {
     const auto exec_start = std::chrono::steady_clock::now();
     const double queue_wait = std::chrono::duration<double>(
@@ -154,7 +154,13 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
       pending.trace->root.StartChild("queue_wait")->set_seconds(queue_wait);
       pending.trace->service = pending.trace->root.StartChild("service");
     }
-    T reply = run(session, pending);
+    T reply = [&]() -> T {
+      try {
+        return run(session, pending);
+      } catch (const std::exception& e) {
+        return on_fail(Status::Error(StatusCode::kInternal, e.what()));
+      }
+    }();
     if (pending.trace != nullptr) pending.trace->service->Finish();
     // Two different clocks on purpose: the admission EWMA needs pure
     // SERVICE time (its wait estimate multiplies by queue depth — feeding
@@ -165,40 +171,15 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       exec_start)
             .count();
-    const double latency = pending.ElapsedSeconds();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      live_.erase(pending.id);
-      latency_.Record(latency);
-      queue_wait_.Record(queue_wait);
-      service_.Record(service_seconds);
-      ++completed_by_tenant_[pending.tenant];
-    }
+    RecordCompleted(pending, queue_wait, service_seconds);
     admission_.ObserveLatency(service_seconds);
-    ++completed_;
-    RecordFlight(pending, ReplyStatusLabel(reply), queue_wait,
-                 service_seconds, latency);
-    if (pending.release) {
-      std::function<void()> release = std::move(pending.release);
-      pending.release = nullptr;
-      release();
-    }
+    Retire(pending, ReplyStatusLabel(reply), queue_wait, service_seconds);
     done(std::move(reply));
   };
   req->fail = [this, done, self = req.get(),
                on_fail = std::move(on_fail)](const Status& status) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      live_.erase(self->id);
-    }
-    RecordFlight(*self, StatusCodeName(status.code()),
-                 /*queue_wait=*/0.0, /*service_seconds=*/0.0,
-                 self->ElapsedSeconds());
-    if (self->release) {
-      std::function<void()> release = std::move(self->release);
-      self->release = nullptr;
-      release();
-    }
+    Retire(*self, StatusCodeName(status.code()), /*queue_wait=*/0.0,
+           /*service_seconds=*/0.0);
     done(on_fail(status));
   };
 
@@ -210,30 +191,8 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
     live_[req->id] = req;
   }
   Status admitted = queue_.Push(req);
-  if (!admitted.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      live_.erase(req->id);
-    }
-    req->fail(admitted);  // on_fail was moved into the request
-  }
+  if (!admitted.ok()) req->fail(admitted);  // on_fail was moved into it
   return id;
-}
-
-template <typename T>
-Submitted<T> Server::Submit(const std::string& tenant, const char* verb,
-                            bool is_write, double deadline_seconds,
-                            std::shared_ptr<obs::RequestTrace> trace,
-                            std::function<T(Session&, PendingRequest&)> run,
-                            std::function<T(const Status&)> on_fail) {
-  auto promise = std::make_shared<std::promise<T>>();
-  Submitted<T> out;
-  out.future = promise->get_future();
-  out.id = SubmitAsync<T>(
-      tenant, verb, is_write, deadline_seconds, std::move(trace),
-      std::move(run), std::move(on_fail),
-      [promise](T reply) { promise->set_value(std::move(reply)); });
-  return out;
 }
 
 void Server::WorkerLoop() {
@@ -254,34 +213,16 @@ void Server::WorkerLoop() {
           StatusCode::kBudgetExceeded,
           "deadline expired after " + std::to_string(req->ElapsedSeconds()) +
               "s in queue"));
+    } else if (Result<std::shared_ptr<Session>> session =
+                   tenants_.Get(req->tenant);
+               session.ok()) {
+      req->execute(**session, *req);
     } else {
-      Result<std::shared_ptr<Session>> session = tenants_.Get(req->tenant);
-      if (!session.ok()) {
-        // A failed lazy open is still a dispatched-and-replied request:
-        // count it as completed so the admitted-request counters
-        // partition cleanly (stats.h).
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          latency_.Record(req->ElapsedSeconds());
-          ++completed_by_tenant_[req->tenant];
-        }
-        ++completed_;
-        req->fail(session.status());
-      } else {
-        try {
-          req->execute(**session, *req);
-        } catch (const std::exception& e) {
-          // Same terminal accounting as the other dispatched-and-replied
-          // paths, so global and per-tenant completed counts reconcile.
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            latency_.Record(req->ElapsedSeconds());
-            ++completed_by_tenant_[req->tenant];
-          }
-          ++completed_;
-          req->fail(Status::Error(StatusCode::kInternal, e.what()));
-        }
-      }
+      // A failed lazy open is still a dispatched-and-replied request, so
+      // the admitted-request counters partition cleanly (stats.h). Its
+      // verb never started: the whole wait is queue wait.
+      RecordCompleted(*req, req->ElapsedSeconds(), /*service_seconds=*/0.0);
+      req->fail(session.status());
     }
   }
 }
@@ -302,13 +243,21 @@ ServerStats Server::Stats() const {
   stats.submitted = submitted_.load();
   stats.cancelled = cancelled_.load();
   stats.expired_in_queue = expired_.load();
-  stats.completed = completed_.load();
-  admission_.Snapshot(&stats);
-  stats.search_expansions = search_expansions_.load();
-  stats.search_lb_prunes = search_lb_prunes_.load();
-  stats.search_incumbent_improvements = search_incumbents_.load();
+  const AdmissionController::RejectionCounts rejected =
+      admission_.Rejections();
+  stats.rejected_queue_full = rejected.queue_full;
+  stats.rejected_tenant_cap = rejected.tenant_cap;
+  stats.rejected_deadline = rejected.deadline;
+  stats.rejected_quota = rejected.quota;
+  for (const PolicySearchAgg& agg : policy_search_) {
+    stats.search_expansions += agg.expansions.load(std::memory_order_relaxed);
+    stats.search_lb_prunes += agg.lb_prunes.load(std::memory_order_relaxed);
+    stats.search_incumbent_improvements +=
+        agg.incumbents.load(std::memory_order_relaxed);
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
+    stats.completed = latency_.count();
     stats.p50_latency_seconds = latency_.Percentile(0.5);
     stats.p99_latency_seconds = latency_.Percentile(0.99);
     stats.p50_queue_wait_seconds = queue_wait_.Percentile(0.5);
@@ -322,22 +271,17 @@ ServerStats Server::Stats() const {
 void Server::RecordSearchStats(const SearchStats& stats,
                                search::SearchPolicy policy,
                                PendingRequest* pending) {
-  search_expansions_.fetch_add(static_cast<uint64_t>(stats.expansions),
-                               std::memory_order_relaxed);
-  search_lb_prunes_.fetch_add(static_cast<uint64_t>(stats.lb_prunes),
-                              std::memory_order_relaxed);
-  search_incumbents_.fetch_add(
+  PolicySearchAgg& agg = policy_search_.at(static_cast<size_t>(policy));
+  agg.requests.fetch_add(1, std::memory_order_relaxed);
+  agg.expansions.fetch_add(static_cast<uint64_t>(stats.expansions),
+                           std::memory_order_relaxed);
+  agg.visited.fetch_add(static_cast<uint64_t>(stats.states_visited),
+                        std::memory_order_relaxed);
+  agg.lb_prunes.fetch_add(static_cast<uint64_t>(stats.lb_prunes),
+                          std::memory_order_relaxed);
+  agg.incumbents.fetch_add(
       static_cast<uint64_t>(stats.incumbent_improvements),
       std::memory_order_relaxed);
-  const size_t idx = static_cast<size_t>(policy);
-  if (idx < policy_search_.size()) {
-    PolicySearchAgg& agg = policy_search_[idx];
-    agg.requests.fetch_add(1, std::memory_order_relaxed);
-    agg.expansions.fetch_add(static_cast<uint64_t>(stats.expansions),
-                             std::memory_order_relaxed);
-    agg.visited.fetch_add(static_cast<uint64_t>(stats.states_visited),
-                          std::memory_order_relaxed);
-  }
   if (pending != nullptr) {
     // Accumulate (a sweep calls this once per batch entry) for the
     // request's flight record.
@@ -346,23 +290,42 @@ void Server::RecordSearchStats(const SearchStats& stats,
   }
 }
 
-void Server::RecordFlight(const PendingRequest& req, const char* status_label,
-                          double queue_wait, double service_seconds,
-                          double total_seconds) {
-  if (recorder_ == nullptr) return;
-  obs::FlightRecord record;
-  record.id = req.id;
-  record.tenant = req.tenant;
-  record.verb = req.verb;
-  record.status = status_label;
-  record.queue_wait_seconds = queue_wait;
-  record.service_seconds = service_seconds;
-  record.total_seconds = total_seconds;
-  record.search_states_visited = req.search_states_visited;
-  record.search_expansions = req.search_expansions;
-  record.traced = req.trace != nullptr;
-  slow_log_->MaybeLog(record, req.trace.get());
-  recorder_->Record(std::move(record));
+void Server::RecordCompleted(const PendingRequest& req, double queue_wait,
+                             double service_seconds) {
+  const double latency = req.ElapsedSeconds();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  latency_.Record(latency);
+  queue_wait_.Record(queue_wait);
+  service_.Record(service_seconds);
+  ++completed_by_tenant_[req.tenant];
+}
+
+void Server::Retire(PendingRequest& req, const char* status_label,
+                    double queue_wait, double service_seconds) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    live_.erase(req.id);
+  }
+  if (recorder_ != nullptr) {
+    obs::FlightRecord record;
+    record.id = req.id;
+    record.tenant = req.tenant;
+    record.verb = req.verb;
+    record.status = status_label;
+    record.queue_wait_seconds = queue_wait;
+    record.service_seconds = service_seconds;
+    record.total_seconds = req.ElapsedSeconds();
+    record.search_states_visited = req.search_states_visited;
+    record.search_expansions = req.search_expansions;
+    record.traced = req.trace != nullptr;
+    slow_log_->MaybeLog(record, req.trace.get());
+    recorder_->Record(std::move(record));
+  }
+  if (req.release) {
+    std::function<void()> release = std::move(req.release);
+    req.release = nullptr;
+    release();
+  }
 }
 
 std::vector<obs::FlightRecord> Server::RecentRequests(size_t limit) const {
@@ -375,32 +338,29 @@ uint64_t Server::SlowRequestsSeen() const {
 }
 
 void Server::CollectMetrics(obs::Collector& out) const {
-  // Request flow (service layer). The server's atomics stay authoritative;
-  // the probe only samples them, so two servers publishing into the same
-  // registry never mix counts into one shared Counter.
-  out.CounterSample("retrust_requests_submitted_total", {},
-                    submitted_.load(std::memory_order_relaxed));
-  out.CounterSample("retrust_requests_completed_total", {},
-                    completed_.load(std::memory_order_relaxed));
-  out.CounterSample("retrust_requests_cancelled_total", {},
-                    cancelled_.load(std::memory_order_relaxed));
+  // Request flow, rejections and search totals come from the same Stats()
+  // snapshot the `stats` verb serves, so a scrape and a stats reply read
+  // the same stores. The probe only samples them, so two servers
+  // publishing into one registry never mix counts into a shared Counter.
+  const ServerStats stats = Stats();
+  out.CounterSample("retrust_requests_submitted_total", {}, stats.submitted);
+  out.CounterSample("retrust_requests_completed_total", {}, stats.completed);
+  out.CounterSample("retrust_requests_cancelled_total", {}, stats.cancelled);
   out.CounterSample("retrust_requests_expired_total", {},
-                    expired_.load(std::memory_order_relaxed));
-  const AdmissionController::RejectionCounts rejected =
-      admission_.Rejections();
+                    stats.expired_in_queue);
   out.CounterSample("retrust_requests_rejected_total",
-                    {{"reason", "queue_full"}}, rejected.queue_full);
+                    {{"reason", "queue_full"}}, stats.rejected_queue_full);
   out.CounterSample("retrust_requests_rejected_total",
-                    {{"reason", "tenant_cap"}}, rejected.tenant_cap);
+                    {{"reason", "tenant_cap"}}, stats.rejected_tenant_cap);
   out.CounterSample("retrust_requests_rejected_total",
-                    {{"reason", "deadline"}}, rejected.deadline);
+                    {{"reason", "deadline"}}, stats.rejected_deadline);
   out.CounterSample("retrust_requests_rejected_total", {{"reason", "quota"}},
-                    rejected.quota);
-  out.CounterSample("retrust_quota_denials_total", {}, quota_.Denials());
-  out.Gauge("retrust_queue_depth", {},
-            static_cast<double>(queue_.Depth()));
+                    stats.rejected_quota);
+  // Every quota denial is an admission rejection with reason "quota".
+  out.CounterSample("retrust_quota_denials_total", {}, stats.rejected_quota);
+  out.Gauge("retrust_queue_depth", {}, static_cast<double>(stats.queue_depth));
   out.Gauge("retrust_requests_in_flight", {},
-            static_cast<double>(queue_.InFlight()));
+            static_cast<double>(stats.in_flight));
   out.Gauge("retrust_admission_latency_ewma_seconds", {},
             admission_.LatencyEwmaSeconds());
 
@@ -409,7 +369,7 @@ void Server::CollectMetrics(obs::Collector& out) const {
   // concurrency is the queue's in-flight gauge above. The shared session
   // pool runs real short tasks and its utilization is genuine.
   out.Gauge("retrust_request_workers", {},
-            static_cast<double>(opts_.workers < 1 ? 1 : opts_.workers));
+            static_cast<double>(stats.workers));
   if (session_pool_ != nullptr) {
     const exec::PoolStats pool = session_pool_->GetStats();
     out.Gauge("retrust_session_pool_threads", {},
@@ -431,11 +391,11 @@ void Server::CollectMetrics(obs::Collector& out) const {
 
   // Search engine aggregates, total and per policy.
   out.CounterSample("retrust_search_expansions_total", {},
-                    search_expansions_.load(std::memory_order_relaxed));
+                    stats.search_expansions);
   out.CounterSample("retrust_search_lb_prunes_total", {},
-                    search_lb_prunes_.load(std::memory_order_relaxed));
+                    stats.search_lb_prunes);
   out.CounterSample("retrust_search_incumbents_total", {},
-                    search_incumbents_.load(std::memory_order_relaxed));
+                    stats.search_incumbent_improvements);
   for (size_t i = 0; i < policy_search_.size(); ++i) {
     const PolicySearchAgg& agg = policy_search_[i];
     const uint64_t requests = agg.requests.load(std::memory_order_relaxed);

@@ -272,39 +272,34 @@ class Server {
                        std::function<T(const Status&)> on_fail,
                        std::function<void(T)> done);
 
-  /// Future-returning convenience over SubmitAsync (the in-process Client
-  /// verbs).
-  template <typename T>
-  Submitted<T> Submit(const std::string& tenant, const char* verb,
-                      bool is_write, double deadline_seconds,
-                      std::shared_ptr<obs::RequestTrace> trace,
-                      std::function<T(Session&, PendingRequest&)> run,
-                      std::function<T(const Status&)> on_fail);
-
   bool Cancel(uint64_t id);
   void WorkerLoop();
 
-  /// Folds one executed search's counters into the server-wide aggregates
-  /// (ServerStats::search_* plus the per-policy series) and into the
-  /// request's flight-record fields. Called by the verb lambdas on the
-  /// worker threads — lock-free atomics, no stats_mu_.
+  /// Folds one executed search's counters into its policy's slot of
+  /// policy_search_ and into the request's flight-record fields. Called by
+  /// the verb lambdas on the worker threads — lock-free atomics, no
+  /// stats_mu_.
   void RecordSearchStats(const SearchStats& stats,
                          search::SearchPolicy policy,
                          PendingRequest* pending);
 
-  /// The metrics probe body: samples every layer (request flow, queue,
-  /// admission, quota, pools, latency histograms, search aggregates,
-  /// tenant context caches, flight recorder) into `out`. Runs under the
-  /// registry mutex at exposition time; must never call back into the
-  /// registry.
+  /// The metrics probe body: emits one Stats() snapshot plus what it does
+  /// not carry (latency histograms, per-policy search slots, pools, tenant
+  /// context caches, flight recorder) into `out`. Runs under the registry
+  /// mutex at exposition time; must never call back into the registry.
   void CollectMetrics(obs::Collector& out) const;
 
-  /// Writes the terminal flight record (and feeds the slow-request log on
-  /// the executed path, where a span tree may exist). No-op when
-  /// observability is off.
-  void RecordFlight(const PendingRequest& req, const char* status_label,
-                    double queue_wait, double service_seconds,
-                    double total_seconds);
+  /// Completion accounting of a dispatched-and-replied request — executed,
+  /// thrown, or failed at its lazy tenant open: the latency split and the
+  /// per-tenant count. The one place `completed` is counted.
+  void RecordCompleted(const PendingRequest& req, double queue_wait,
+                       double service_seconds);
+
+  /// Terminal tail of both wrappers, run before the reply reaches `done`:
+  /// leaves the live table, writes the flight record (feeding the
+  /// slow-request log) and releases the lane slot.
+  void Retire(PendingRequest& req, const char* status_label,
+              double queue_wait, double service_seconds);
 
   ServerOptions opts_;
   /// Shared session pool (sweeps + deltas of ALL tenants); null when
@@ -321,17 +316,16 @@ class Server {
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> search_expansions_{0};
-  std::atomic<uint64_t> search_lb_prunes_{0};
-  std::atomic<uint64_t> search_incumbents_{0};
 
-  /// Per-policy search aggregates, indexed by search::SearchPolicy, for
-  /// the `retrust_search_requests_total{policy=...}` series family.
+  /// Search aggregates, one slot per search::SearchPolicy. Every executed
+  /// search lands in exactly one slot; the ServerStats::search_* totals
+  /// are sums over the slots at read time.
   struct PolicySearchAgg {
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> expansions{0};
     std::atomic<uint64_t> visited{0};
+    std::atomic<uint64_t> lb_prunes{0};
+    std::atomic<uint64_t> incumbents{0};
   };
   std::array<PolicySearchAgg, 3> policy_search_{};
 
@@ -343,6 +337,8 @@ class Server {
 
   mutable std::mutex stats_mu_;  ///< live_, histograms, completed_by_tenant_
   std::map<uint64_t, std::shared_ptr<PendingRequest>> live_;
+  /// One sample per completed request each, so every histogram's count()
+  /// equals ServerStats::completed and the sum of completed_by_tenant_.
   LatencyHistogram latency_;      ///< end-to-end: submit -> reply
   LatencyHistogram queue_wait_;   ///< submit -> execution start
   LatencyHistogram service_;      ///< execution start -> reply built

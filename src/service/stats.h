@@ -23,8 +23,11 @@ using LatencyHistogram = obs::LatencyHistogram;
 /// including tenant lazy-open failures and verb errors). Rejected_*
 /// count requests turned away at admission, before enqueue; only
 /// synchronous pre-admission failures (unknown tenant, stopped server,
-/// non-null user cancel token) complete their future outside every
-/// terminal counter, so submitted >= rejected() + terminal counters.
+/// non-null user cancel token) and requests Stop() fails while queued
+/// complete their future outside every terminal counter, so submitted >=
+/// rejected() + terminal counters. Server::Stats() assembles every field
+/// from the one store that records it (DESIGN.md, "Where each count
+/// lives").
 struct ServerStats {
   size_t queue_depth = 0;     ///< requests waiting right now
   size_t in_flight = 0;       ///< requests executing right now

@@ -45,6 +45,14 @@ struct Fig3Row {
   int64_t delta_p;
 };
 
+// Names each case by its FDs so the test name is the same in every run
+// (gtest's default prints the raw bytes, heap pointers included).
+void PrintTo(const Fig3Row& row, std::ostream* os) {
+  for (size_t i = 0; i < row.fds.size(); ++i) {
+    *os << (i ? ", " : "") << row.fds[i];
+  }
+}
+
 class Fig3Table : public ::testing::TestWithParam<Fig3Row> {};
 
 TEST_P(Fig3Table, MatchesPaper) {

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "tests/temp_path.h"
+
 namespace retrust {
 namespace {
 
@@ -74,7 +76,7 @@ TEST(Csv, WriteEscapesSpecialCharacters) {
 TEST(Csv, FileRoundTrip) {
   Instance inst(Schema({{"a", AttrType::kInt}, {"b", AttrType::kString}}));
   inst.AddTuple({Value(int64_t{5}), Value("hello")});
-  std::string path = testing::TempDir() + "/retrust_csv_test.csv";
+  std::string path = TempPath("round_trip.csv");
   WriteCsvFile(inst, path);
   Instance back = ReadCsvFile(path);
   EXPECT_EQ(inst.DistdTo(back), 0);

@@ -14,9 +14,17 @@
 //   * The flight recorder remembers completed AND failed requests,
 //     `dump_recent` returns them newest first, and the slow-request log
 //     counts over-threshold requests.
+//   * ACCOUNTING — over a mix of every request outcome, each event is
+//     counted once: the terminal counters partition the submitted
+//     requests, and every series the probe emits equals the `stats`
+//     field it samples.
 
+#include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +37,7 @@
 #include "src/service/event_loop.h"
 #include "src/service/server.h"
 #include "src/service/wire.h"
+#include "tests/temp_path.h"
 
 namespace retrust::service {
 namespace {
@@ -341,6 +350,111 @@ TEST(ObsServiceFlight, DumpRecentReturnsNewestFirstIncludingFailures) {
   EXPECT_EQ(wire.server.RecentRequests().size(), 3u);
   EXPECT_EQ(wire.server.RecentRequests(2).size(), 2u);
   EXPECT_GE(wire.server.SlowRequestsSeen(), 2u);
+}
+
+// --- accounting identities ----------------------------------------------
+
+/// Sum of every exposition line whose series (name plus labels) starts
+/// with `prefix` and is followed by a space or a label set.
+double SumSeries(const std::string& text, const std::string& prefix) {
+  double sum = 0.0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) != 0 || line.size() <= prefix.size()) continue;
+    const char next = line[prefix.size()];
+    if (next != ' ' && next != '{') continue;
+    sum += std::strtod(line.c_str() + line.rfind(' ') + 1, nullptr);
+  }
+  return sum;
+}
+
+TEST(ObsServiceAccounting, EveryOutcomeIsCountedOnce) {
+  obs::MetricsRegistry registry;
+  ServerOptions opts = ObsServerOptions(&registry);
+  opts.workers = 4;
+  opts.queue_capacity = 8;
+  opts.start_paused = true;
+  opts.quota_clock = [] { return 0.0; };  // frozen: no refill
+  Server server(opts);
+  ObsTenant tenant = MakeObsTenant();
+  ASSERT_TRUE(server.LoadTenant("ok", tenant.data, tenant.fd_texts).ok());
+  ASSERT_TRUE(
+      server.LoadTenant("metered", tenant.data, tenant.fd_texts).ok());
+  ASSERT_TRUE(server
+                  .LoadCsvTenant("ghost", TempPath("missing.csv"),
+                                 tenant.fd_texts)
+                  .ok());
+  server.SetTenantQuota("metered", QuotaLimits{/*rate=*/1.0, /*burst=*/1.0});
+  Client client = server.client();
+
+  std::vector<std::future<Result<RepairResponse>>> replies;
+  auto repair = [&](const std::string& name, search::SearchPolicy policy,
+                    double deadline_seconds) {
+    RepairRequest req = RepairRequest::AtRelative(0.5);
+    req.policy = policy;
+    req.deadline_seconds = deadline_seconds;
+    Submitted<Result<RepairResponse>> submitted = client.Repair(name, req);
+    replies.push_back(std::move(submitted.future));
+    return submitted.id;
+  };
+  // Queued while paused: three ok repairs, one per policy...
+  repair("ok", search::SearchPolicy::kExact, 0.0);
+  repair("ok", search::SearchPolicy::kAnytime, 0.0);
+  repair("ok", search::SearchPolicy::kGreedy, 0.0);
+  // ...plus a sweep, one ok metered repair and a quota-shed one...
+  std::vector<RepairRequest> sweep(2, RepairRequest::AtRelative(0.7));
+  auto swept = client.Sweep("ok", sweep);
+  repair("metered", search::SearchPolicy::kExact, 0.0);
+  repair("metered", search::SearchPolicy::kExact, 0.0);
+  // ...one cancelled in queue, one that expires there, one failed lazy
+  // CSV open: eight queued, so the next is queue-full...
+  EXPECT_TRUE(client.Cancel(repair("ok", search::SearchPolicy::kExact, 0.0)));
+  repair("ok", search::SearchPolicy::kExact, 0.005);
+  repair("ghost", search::SearchPolicy::kExact, 0.0);
+  repair("ok", search::SearchPolicy::kExact, 0.0);
+  // ...and one rejected for a deadline spent before submission.
+  repair("ok", search::SearchPolicy::kExact, -1.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.Resume();
+
+  int ok = 0;
+  for (auto& reply : replies) ok += reply.get().ok() ? 1 : 0;
+  for (const Result<RepairResponse>& reply : swept.future.get()) {
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  }
+  EXPECT_EQ(ok, 4);  // three policies + the metered tenant's first
+
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.expired_in_queue, 1u);
+  EXPECT_EQ(stats.rejected_quota, 1u);
+  EXPECT_EQ(stats.rejected_queue_full, 1u);
+  EXPECT_EQ(stats.rejected_deadline, 1u);
+  EXPECT_EQ(stats.completed, 6u);  // 4 ok + sweep + failed lazy open
+  EXPECT_EQ(stats.submitted, stats.rejected() + stats.expired_in_queue +
+                                 stats.cancelled + stats.completed);
+
+  uint64_t tenant_completed = 0;
+  for (const std::string& name : server.TenantNames()) {
+    Result<TenantStats> t = server.TenantStatsFor(name);
+    ASSERT_TRUE(t.ok());
+    tenant_completed += t->completed;
+  }
+  EXPECT_EQ(tenant_completed, stats.completed);
+
+  const std::string text = registry.ExpositionText();
+  const auto completed = static_cast<double>(stats.completed);
+  EXPECT_EQ(SumSeries(text, "retrust_request_latency_seconds_count"),
+            completed);
+  EXPECT_EQ(SumSeries(text, "retrust_requests_completed_total"), completed);
+  const auto quota = static_cast<double>(stats.rejected_quota);
+  EXPECT_EQ(SumSeries(text, "retrust_quota_denials_total"), quota);
+  EXPECT_EQ(
+      SumSeries(text, "retrust_requests_rejected_total{reason=\"quota\"}"),
+      quota);
+  EXPECT_GT(stats.search_expansions, 0u);
+  EXPECT_EQ(SumSeries(text, "retrust_search_policy_expansions_total"),
+            static_cast<double>(stats.search_expansions));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 // backed unload/reload lifecycle with byte-budget eviction.
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "src/persist/journal.h"
 #include "src/persist/snapshot.h"
 #include "src/service/tenant_registry.h"
+#include "tests/temp_path.h"
 
 namespace retrust {
 namespace {
@@ -71,14 +71,6 @@ std::string Fingerprint(const Repair& repair, const Schema& schema) {
   }
   fp += "|data:" + repair.data.Decode().ToTable();
   return fp;
-}
-
-std::string TempPath(const std::string& name) {
-  std::string path = testing::TempDir() + "/" + name;
-  // Paths are reused across test-binary runs; a leftover journal from a
-  // previous run would (correctly) fail EnableJournal's continuity check.
-  std::remove(path.c_str());
-  return path;
 }
 
 std::string ReadAll(const std::string& path) {
@@ -519,7 +511,7 @@ TEST(RegistryLifecycle, DirtyUnloadRefusedWithoutSnapshotDir) {
 
 TEST(RegistryLifecycle, DirtyUnloadAutoSavesWithSnapshotDir) {
   service::TenantRegistry registry(SessionOptions{}, nullptr,
-                                   testing::TempDir());
+                                   TempDirPath());
   ASSERT_TRUE(
       registry.AddCsv("auto", WriteSmallCsv("auto.csv"), {"City->Zip"}).ok());
   uint64_t version = 0;
@@ -544,7 +536,7 @@ TEST(RegistryLifecycle, ByteBudgetEvictsIdleTenants) {
   // A 1-byte budget is unreachable, so every load must evict the other,
   // idle tenant — previously both would stay resident forever.
   service::TenantRegistry registry(SessionOptions{}, nullptr,
-                                   testing::TempDir(), /*max_loaded_bytes=*/1);
+                                   TempDirPath(), /*max_loaded_bytes=*/1);
   ASSERT_TRUE(
       registry.AddCsv("a", WriteSmallCsv("budget_a.csv"), {"City->Zip"}).ok());
   ASSERT_TRUE(

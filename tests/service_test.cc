@@ -17,6 +17,7 @@
 
 #include "src/service/server.h"
 #include "src/service/wire.h"
+#include "tests/temp_path.h"
 
 namespace retrust::service {
 namespace {
@@ -141,7 +142,7 @@ TEST(ServiceRegistry, EagerTenantAnswersAndDuplicateIsRejected) {
 }
 
 TEST(ServiceRegistry, LazyCsvLoadsOnFirstUse) {
-  std::string path = testing::TempDir() + "/retrust_service_lazy.csv";
+  std::string path = TempPath("lazy.csv");
   {
     std::ofstream out(path);
     out << "Name,City,Zip\nAlice,Springfield,11111\nBob,Springfield,22222\n";

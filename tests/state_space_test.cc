@@ -96,6 +96,15 @@ struct SpaceShape {
   int num_attrs;
 };
 
+// Names each case by its shape so the test name is the same in every run
+// (gtest's default prints the raw bytes, heap pointers included).
+void PrintTo(const SpaceShape& shape, std::ostream* os) {
+  for (size_t i = 0; i < shape.fds.size(); ++i) {
+    *os << (i ? ", " : "") << shape.fds[i];
+  }
+  *os << " over " << shape.num_attrs << " attrs";
+}
+
 class StateSpaceCoverage : public ::testing::TestWithParam<SpaceShape> {};
 
 TEST_P(StateSpaceCoverage, TreeCoversLatticeExactlyOnce) {
