@@ -2,7 +2,7 @@
 //   (a) violation detection — conflict graph + difference-set index over a
 //       10k-tuple generated instance (sharded via src/exec/), and
 //   (b) a τ-sweep — many ModifyFds searches over one shared context
-//       (exec::Sweep).
+//       (exec::RunSearches).
 // Reports wall-clock and speedup at 1/2/4/8 threads and cross-checks that
 // every thread count produced the identical result (the exec/ determinism
 // contract).
@@ -10,6 +10,7 @@
 //   build/bench/bench_scaling_threads
 
 #include <cinttypes>
+#include <memory>
 
 #include "bench/bench_common.h"
 #include "src/eval/experiment.h"
@@ -83,18 +84,21 @@ int main() {
   std::vector<int64_t> taus = exec::TauGridFromRelative(
       {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
       data.root_delta_p);
+  std::vector<exec::SearchJob> jobs;
+  for (int64_t tau : taus) jobs.push_back({tau, {}});
   // Warm the context's shared memo caches (weight function) so the timed
   // thread-count comparison measures scheduling, not first-run memoization.
-  exec::Sweep(data.context(), data.encoded(), {1}).RunSearches(taus);
+  exec::RunSearches(data.context(), jobs, /*pool=*/nullptr);
   std::printf("\n--- tau-sweep (%zu searches, shared context) ---\n",
               taus.size());
   std::printf("%8s %12s %10s\n", "threads", "time(s)", "speedup");
   double serial_sweep = 0.0;
   int64_t serial_visited = -1;
   for (int t : thread_counts) {
-    exec::Sweep sweep(data.context(), data.encoded(), {t});
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({t});
     Timer timer;
-    std::vector<ModifyFdsResult> results = sweep.RunSearches(taus);
+    std::vector<ModifyFdsResult> results =
+        exec::RunSearches(data.context(), jobs, pool.get());
     double seconds = timer.ElapsedSeconds();
     int64_t visited = 0;
     for (const ModifyFdsResult& r : results) visited += r.stats.states_visited;

@@ -72,6 +72,20 @@ Status NoRepairStatus(SearchTermination termination, int64_t tau) {
           std::to_string(tau) + " cell changes");
 }
 
+/// The one mapping from an Algorithm 1 outcome at `tau` to the facade's
+/// response, shared by Repair and RepairMany.
+Result<RepairResponse> ToResponse(RepairOutcome outcome, int64_t tau) {
+  if (!outcome.repair.has_value()) {
+    return NoRepairStatus(outcome.termination, tau);
+  }
+  RepairResponse response;
+  response.repair = std::move(*outcome.repair);
+  response.tau = tau;
+  response.seconds = outcome.seconds;
+  response.termination = outcome.termination;
+  return response;
+}
+
 Result<FDSet> ParseFds(const std::vector<std::string>& fd_texts,
                        const Schema& schema) {
   try {
@@ -102,14 +116,18 @@ Session::Session(Instance data, SessionOptions opts)
       encoded_(std::make_unique<EncodedInstance>(*instance_)),
       opts_(opts),
       mu_(std::make_unique<std::mutex>()),
-      state_mu_(std::make_unique<std::shared_mutex>()) {}
+      state_mu_(std::make_unique<std::shared_mutex>()),
+      own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
+                                            : nullptr) {}
 
 Session::Session(Instance data, EncodedInstance encoded, SessionOptions opts)
     : instance_(std::make_unique<Instance>(std::move(data))),
       encoded_(std::make_unique<EncodedInstance>(std::move(encoded))),
       opts_(opts),
       mu_(std::make_unique<std::mutex>()),
-      state_mu_(std::make_unique<std::shared_mutex>()) {}
+      state_mu_(std::make_unique<std::shared_mutex>()),
+      own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
+                                            : nullptr) {}
 
 Result<Session> Session::Open(Instance data, FDSet sigma,
                               SessionOptions opts) {
@@ -188,16 +206,11 @@ Status Session::AdoptContext(FDSet sigma, DifferenceSetIndex index,
     const uint64_t fp = Fingerprint(sigma, opts_);
     std::lock_guard<std::mutex> lock(*mu_);
     const WeightFunction* weights = &WeightFor(opts_.weights);
-    auto bundle = std::make_shared<ContextBundle>();
-    bundle->sigma = std::move(sigma);
-    bundle->weights = weights;
-    bundle->context = std::make_unique<FdSearchContext>(
-        bundle->sigma, *encoded_, *weights, opts_.heuristic, std::move(index),
+    auto context = std::make_unique<FdSearchContext>(
+        sigma, *encoded_, *weights, opts_.heuristic, std::move(index),
         std::move(warm));
-    bundle->sweep = std::make_unique<exec::Sweep>(*bundle->context, *encoded_,
-                                                 opts_.exec,
-                                                 opts_.shared_pool);
-    bundle->root_delta_p = bundle->context->RootDeltaP();
+    std::shared_ptr<ContextBundle> bundle =
+        MakeBundle(std::move(sigma), weights, std::move(context));
     if (bundle->root_delta_p != expected_root_delta_p) {
       return Status::Error(
           StatusCode::kIoError,
@@ -205,10 +218,6 @@ Status Session::AdoptContext(FDSet sigma, DifferenceSetIndex index,
               std::to_string(bundle->root_delta_p) + " != saved " +
               std::to_string(expected_root_delta_p));
     }
-    bundle->edges = IndexEdges(*bundle->context);
-    bundle->bytes = EstimateContextBytes(bundle->edges,
-                                         bundle->context->index().size());
-    bundle->last_used = ++use_clock_;
     ++cache_misses_;  // a restore builds (cheaply); it did not hit the cache
     cache_[fp].push_back(bundle);
     active_fingerprint_ = fp;
@@ -374,22 +383,31 @@ std::shared_ptr<Session::ContextBundle> Session::BundleFor(FDSet sigma) {
     }
   }
   ++cache_misses_;
-  auto bundle = std::make_shared<ContextBundle>();
-  bundle->sigma = std::move(sigma);
-  bundle->weights = weights;
-  bundle->context = std::make_unique<FdSearchContext>(
-      bundle->sigma, *encoded_, *bundle->weights, opts_.heuristic,
-      opts_.exec);
-  bundle->sweep = std::make_unique<exec::Sweep>(*bundle->context, *encoded_,
-                                               opts_.exec, opts_.shared_pool);
-  bundle->root_delta_p = bundle->context->RootDeltaP();
-  bundle->edges = IndexEdges(*bundle->context);
-  bundle->bytes = EstimateContextBytes(bundle->edges,
-                                       bundle->context->index().size());
-  bundle->last_used = ++use_clock_;
+  auto context = std::make_unique<FdSearchContext>(
+      sigma, *encoded_, *weights, opts_.heuristic, opts_.exec);
+  std::shared_ptr<ContextBundle> bundle =
+      MakeBundle(std::move(sigma), weights, std::move(context));
   bucket.push_back(bundle);
   active_fingerprint_ = fp;
   return bundle;
+}
+
+std::shared_ptr<Session::ContextBundle> Session::MakeBundle(
+    FDSet sigma, const WeightFunction* weights,
+    std::unique_ptr<FdSearchContext> context) {
+  auto bundle = std::make_shared<ContextBundle>();
+  bundle->sigma = std::move(sigma);
+  bundle->weights = weights;
+  bundle->context = std::move(context);
+  bundle->SyncDerived();
+  bundle->last_used = ++use_clock_;
+  return bundle;
+}
+
+void Session::ContextBundle::SyncDerived() {
+  root_delta_p = context->RootDeltaP();
+  edges = IndexEdges(*context);
+  bytes = EstimateContextBytes(edges, context->index().size());
 }
 
 void Session::EvictIfNeeded() {
@@ -500,25 +518,16 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
       // refill lazily on the next Weight() call.
       for (auto& [model, weights] : weight_cache_) weights->Invalidate();
       // Patch EVERY cached context (they all read the one shared encoded
-      // instance, so none may survive un-patched), re-pin each sweep.
-      // One session-cached pool serves every Apply — no per-batch or
-      // per-context thread churn on the streaming append path.
+      // instance, so none may survive un-patched) on the session's one
+      // pool — no per-batch or per-context thread churn on the streaming
+      // append path.
       try {
-        exec::ThreadPool* pool = opts_.shared_pool;
-        if (pool == nullptr) {
-          if (apply_pool_ == nullptr) apply_pool_ = exec::MakePool(opts_.exec);
-          pool = apply_pool_.get();
-        }
         for (auto& [fp, bucket] : cache_) {
           for (const std::shared_ptr<ContextBundle>& bundle : bucket) {
             FdSearchContext::DeltaReport report =
                 bundle->context->ApplyDelta(*encoded_, plan.dirty,
-                                            plan.remap, pool);
-            bundle->root_delta_p = bundle->context->RootDeltaP();
-            bundle->edges = IndexEdges(*bundle->context);
-            bundle->bytes = EstimateContextBytes(
-                bundle->edges, bundle->context->index().size());
-            bundle->sweep->Refresh();
+                                            plan.remap, pool());
+            bundle->SyncDerived();
             ++stats.contexts_patched;
             stats.edges_removed += report.index.edges_removed;
             stats.edges_added += report.index.edges_added;
@@ -593,7 +602,7 @@ ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
       req.trace != nullptr ? &req.trace->search_phases : nullptr;
   // opts.exec stays serial: SessionOptions::exec parallelizes ACROSS
   // batched requests (and shards context builds), never inside one
-  // search — the same composition rule exec::Sweep applies to its jobs.
+  // search — the same composition rule exec::RunRepairs applies to its jobs.
   return opts;
 }
 
@@ -610,33 +619,22 @@ Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
           ? req.trace->SessionParent()->StartChild("session")
           : nullptr;
   try {
-    Timer timer;
     RepairOptions opts;
     opts.search = SearchOptions(req);
     opts.seed = req.seed;
     RepairOutcome outcome =
         RunRepair(*active_->context, *encoded_, *tau, opts);
     if (session_span != nullptr) {
-      const double total = timer.ElapsedSeconds();
       obs::TraceSpan* search_span = session_span->StartChild("search");
       search_span->set_seconds(outcome.stats.seconds);
       obs::AttachSearchPhases(search_span, req.trace->search_phases);
-      const double materialize = total - outcome.stats.seconds;
+      const double materialize = outcome.seconds - outcome.stats.seconds;
       if (materialize > 0.0) {
         session_span->StartChild("materialize")->set_seconds(materialize);
       }
+      session_span->Finish();
     }
-    if (!outcome.repair.has_value()) {
-      if (session_span != nullptr) session_span->Finish();
-      return NoRepairStatus(outcome.termination, *tau);
-    }
-    RepairResponse response;
-    response.repair = std::move(*outcome.repair);
-    response.tau = *tau;
-    response.seconds = timer.ElapsedSeconds();
-    response.termination = outcome.termination;
-    if (session_span != nullptr) session_span->Finish();
-    return response;
+    return ToResponse(std::move(outcome), *tau);
   } catch (const std::exception& e) {
     if (session_span != nullptr) session_span->Finish();
     return Status::Error(StatusCode::kInternal, e.what());
@@ -692,19 +690,10 @@ std::vector<Result<RepairResponse>> Session::RepairMany(
         return job;
       },
       [this](const std::vector<exec::SweepJob>& jobs) {
-        return active_->sweep->RunRepairs(jobs);
+        return exec::RunRepairs(*active_->context, *encoded_, jobs, pool());
       },
-      [](exec::SweepOutcome out,
-         const exec::SweepJob&) -> Result<RepairResponse> {
-        if (!out.repair.has_value()) {
-          return NoRepairStatus(out.termination, out.tau);
-        }
-        RepairResponse response;
-        response.repair = std::move(*out.repair);
-        response.tau = out.tau;
-        response.seconds = out.seconds;
-        response.termination = out.termination;
-        return response;
+      [](RepairOutcome out, const exec::SweepJob& job) {
+        return ToResponse(std::move(out), job.tau);
       });
 }
 
@@ -736,7 +725,7 @@ std::vector<Result<SearchProbe>> Session::SearchMany(
         return job;
       },
       [this](const std::vector<exec::SearchJob>& jobs) {
-        return active_->sweep->RunSearches(jobs);
+        return exec::RunSearches(*active_->context, jobs, pool());
       },
       [](ModifyFdsResult out, const exec::SearchJob& job) -> Result<SearchProbe> {
         SearchProbe probe;

@@ -7,23 +7,25 @@
 // FdSearchContext lazily per (Σ, weights, heuristic, exec) fingerprint, and
 // keeps every context it ever built in a cache — switching Σ back and forth
 // (SetFds) reuses the warm violation table and cover memo exactly like the
-// τ jobs of an exec::Sweep do.
+// τ jobs of one exec::RunRepairs batch do.
 //
 // All failures surface through the Status/Result<T> model (status.h); the
 // facade translates internal exceptions and optionals at the boundary, so
 // Session callers never need a try/catch.
 //
 // Layering (DESIGN.md "Public API layering"): api/ sits on top of repair/
-// and exec/'s Sweep scheduler; everything below api/ stays exception/
+// and exec/'s sweep runners; everything below api/ stays exception/
 // optional-based and remains the internal layer the facade calls.
 //
 // Thread safety: const methods (Repair, RepairMany, Search, ...) are safe
-// to call concurrently — batched requests additionally fan out on the
-// session's own exec::Sweep pool. Apply() may ALSO run concurrently with
-// the const request methods: requests take a shared snapshot lock and a
-// delta takes it exclusively, so every request observes either the whole
-// pre-delta or the whole post-delta state, never a mix (the exec::Sweep
-// version pin double-checks this). The remaining mutating methods
+// to call concurrently. A session schedules on exactly one long-lived pool
+// (SessionOptions::shared_pool, or its own): batched requests fan out on
+// it and Apply() patches contexts on it; single requests run inline on
+// the caller's thread. Apply() may ALSO run concurrently with the const
+// request methods: requests take a shared snapshot lock and a delta takes
+// it exclusively, so every request observes either the whole pre-delta or
+// the whole post-delta state, never a mix (the sweep runners' version
+// check double-checks this). The remaining mutating methods
 // (SetFds, SetWeights) require external exclusion against everything
 // else, like any C++ object.
 
@@ -57,9 +59,9 @@ enum class WeightModel { kDistinctCount, kCardinality, kEntropy };
 struct SessionOptions {
   WeightModel weights = WeightModel::kDistinctCount;
   HeuristicOptions heuristic;
-  /// Shards context construction AND sizes the pool batched requests
-  /// (RepairMany/SearchMany) fan out on. Results are bit-identical for any
-  /// thread count (DESIGN.md).
+  /// Shards context construction AND sizes the session's pool, which
+  /// batched requests (RepairMany/SearchMany) and Apply() run on. Results
+  /// are bit-identical for any thread count (DESIGN.md).
   exec::Options exec;
   /// Upper bound on cached FdSearchContexts (0 = unbounded). When SetFds/
   /// SetWeights would push the cache past the bound, the least-recently
@@ -72,11 +74,11 @@ struct SessionOptions {
   /// until the estimated total fits. Both bounds may be set; the active
   /// context is always exempt. Not part of the context fingerprint.
   size_t max_cached_bytes = 0;
-  /// Optional externally-owned pool (nullable) the session's sweeps and
-  /// Apply() schedule on instead of spawning private workers — a process
-  /// holding many sessions (one per tenant, src/service/) shares ONE pool
-  /// across all of them. Must outlive the session. Not part of the
-  /// context fingerprint.
+  /// Optional externally-owned pool (nullable) the session's batches and
+  /// Apply() schedule on instead of its own pool of `exec` threads — a
+  /// process holding many sessions (one per tenant, src/service/) shares
+  /// ONE pool across all of them. Must outlive the session. Not part of
+  /// the context fingerprint.
   exec::ThreadPool* shared_pool = nullptr;
 };
 
@@ -275,9 +277,9 @@ class Session {
   /// and delta-maintains EVERY cached context in place: the difference-set
   /// index only re-examines pairs with a mutated endpoint (O(Δ·n) instead
   /// of the O(n²) rebuild), preserved groups keep their violation-table
-  /// rows and their memoized covers, and each context's version is bumped
-  /// so its sweep re-pins the new snapshot. A repair issued right after an
-  /// Apply therefore reuses everything outside the delta's blast radius.
+  /// rows and their memoized covers, and each context's version is bumped.
+  /// A repair issued right after an Apply therefore reuses everything
+  /// outside the delta's blast radius.
   /// Post-delta answers are bit-identical to a session freshly opened over
   /// the mutated data. Safe to call concurrently with the const request
   /// methods (it takes the snapshot lock exclusively; in-flight requests
@@ -302,14 +304,16 @@ class Session {
   Result<RepairResponse> Repair(const RepairRequest& req) const;
 
   /// Batched Algorithm 1: all requests run concurrently on the session's
-  /// exec::Sweep over the one shared context; outcomes in request order.
+  /// pool over the one shared context (exec::RunRepairs); outcomes in
+  /// request order.
   std::vector<Result<RepairResponse>> RepairMany(
       std::span<const RepairRequest> reqs) const;
 
   /// Algorithm 2 probe (no data repair pass); see SearchProbe.
   Result<SearchProbe> Search(const RepairRequest& req) const;
 
-  /// Batched probes through the same sweep scheduler, in request order.
+  /// Batched probes through the same scheduler (exec::RunSearches), in
+  /// request order.
   std::vector<Result<SearchProbe>> SearchMany(
       std::span<const RepairRequest> reqs) const;
 
@@ -352,17 +356,20 @@ class Session {
  private:
   /// One cached context: Σ plus everything derived from it. The weight
   /// function is shared across bundles of the same model (its memo is
-  /// instance-wide), the sweep reuses one pool across batched calls.
+  /// instance-wide).
   struct ContextBundle {
     FDSet sigma;
     const WeightFunction* weights = nullptr;  ///< owned by weight_cache_
     std::unique_ptr<FdSearchContext> context;
-    std::unique_ptr<exec::Sweep> sweep;
     int64_t root_delta_p = 0;
     uint64_t last_used = 0;  ///< LRU ordinal (session use_clock_)
     uint64_t hits = 0;       ///< BundleFor cache hits on this bundle
     int64_t edges = 0;       ///< difference-set edge count (sizing weight)
     size_t bytes = 0;        ///< edge-weighted estimate; kept fresh by Apply
+
+    /// Recomputes root_delta_p, edges and bytes from `context` — after a
+    /// build, a restore, or an Apply patch.
+    void SyncDerived();
   };
 
   Session(Instance data, SessionOptions opts);
@@ -373,9 +380,9 @@ class Session {
   Session(Instance data, EncodedInstance encoded, SessionOptions opts);
 
   /// Installs a restored context as the active bundle (OpenSnapshot's
-  /// counterpart of BundleFor): validates Σ, rebuilds the sweep, and
-  /// self-checks the restored root δP against the snapshot's
-  /// (mismatch → kIoError, the file lied about its own content).
+  /// counterpart of BundleFor): validates Σ and self-checks the restored
+  /// root δP against the snapshot's (mismatch → kIoError, the file lied
+  /// about its own content).
   Status AdoptContext(FDSet sigma, DifferenceSetIndex index,
                       DeltaPEvaluator::WarmState warm,
                       int64_t expected_root_delta_p);
@@ -388,6 +395,17 @@ class Session {
   /// Returns the cached bundle for (sigma, opts_) or builds and caches it,
   /// touching its LRU slot.
   std::shared_ptr<ContextBundle> BundleFor(FDSet sigma);
+  /// The one bundle constructor behind BundleFor and AdoptContext: wraps
+  /// `context`, fills the derived fields and takes the next LRU slot.
+  /// Caller holds mu_.
+  std::shared_ptr<ContextBundle> MakeBundle(
+      FDSet sigma, const WeightFunction* weights,
+      std::unique_ptr<FdSearchContext> context);
+  /// The pool batches and Apply run on: the shared one when provided,
+  /// else the session's own (null = serial inline execution).
+  exec::ThreadPool* pool() const {
+    return opts_.shared_pool != nullptr ? opts_.shared_pool : own_pool_.get();
+  }
   /// Drops least-recently-used bundles (never the active one) until the
   /// cache respects max_cached_contexts AND the edge-weighted
   /// max_cached_bytes bound. Runs after every active-context switch;
@@ -398,7 +416,7 @@ class Session {
 
   /// Shared skeleton of RepairMany/SearchMany: resolve every request's τ
   /// (invalid ones fail their slot without running), run the valid jobs
-  /// through the sweep, re-slot outcomes in request order; an escaped
+  /// through the sweep runners, re-slot outcomes in request order; an escaped
   /// internal exception fails the affected slots with kInternal.
   template <typename Response, typename Job, typename MakeJob,
             typename RunJobs, typename SlotOutcome>
@@ -424,10 +442,11 @@ class Session {
   /// disambiguated by Σ/weights equality, so erasing any entry (LRU
   /// eviction) can never orphan another.
   std::map<uint64_t, std::vector<std::shared_ptr<ContextBundle>>> cache_;
-  /// Lazily created, reused across Apply calls (which the exclusive
-  /// snapshot lock serializes) — streaming small deltas pays no per-batch
-  /// thread churn. Null until the first parallel Apply.
-  std::unique_ptr<exec::ThreadPool> apply_pool_;
+  /// The session's own pool, created at construction unless
+  /// opts_.shared_pool is set (null when serial). Batches and Apply —
+  /// which the snapshot lock keeps apart — share it, so a session holds
+  /// one set of workers however many contexts it caches.
+  std::unique_ptr<exec::ThreadPool> own_pool_;
   /// Write-ahead delta journal (EnableJournal); Apply logs each batch
   /// before mutating. Guarded by the exclusive snapshot lock.
   std::unique_ptr<persist::JournalWriter> journal_;

@@ -3,7 +3,7 @@
 // The exec/ subsystem is split in two dependency levels: the primitives
 // (options, ThreadPool, ParallelFor) depend on nothing but the standard
 // library and are usable from any layer (src/fd/ uses them for sharded
-// violation detection); the Sweep scheduler (sweep.h) sits above
+// violation detection); the sweep runners (sweep.h) sit above
 // src/repair/. See DESIGN.md for the determinism contract.
 
 #ifndef RETRUST_EXEC_OPTIONS_H_

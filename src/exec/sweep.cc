@@ -2,33 +2,22 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
-
-#include "src/util/timer.h"
 
 namespace retrust::exec {
 
-Sweep::Sweep(const FdSearchContext& ctx, const EncodedInstance& inst,
-             Options options, ThreadPool* shared_pool)
-    : ctx_(ctx),
-      inst_(inst),
-      options_(options),
-      pool_(shared_pool == nullptr ? MakePool(options) : nullptr),
-      external_pool_(shared_pool),
-      pinned_version_(ctx.version()) {}
+namespace {
 
-void Sweep::CheckVersion(const char* when) const {
-  const uint64_t now = ctx_.version();
-  if (now != pinned_version_) {
-    throw std::logic_error(
-        "exec::Sweep " + std::string(when) + ": context version " +
-        std::to_string(now) + " != pinned " +
-        std::to_string(pinned_version_) +
-        " — a delta was applied without Refresh(), or raced this sweep");
+/// The search options of either job kind (const or not).
+template <typename Job>
+auto& SearchOptionsOf(Job& job) {
+  if constexpr (std::is_same_v<std::remove_const_t<Job>, SweepJob>) {
+    return job.opts.search;
+  } else {
+    return job.opts;
   }
 }
-
-namespace {
 
 /// Greedy jobs of a mixed sweep run as a FIRST wave so their incumbents
 /// can seed the expensive jobs' pruning. Monotonicity argument: a repair
@@ -60,123 +49,77 @@ void ApplySeed(ModifyFdsOptions* opts, double seed) {
   if (ub <= 0.0 || seed < ub) ub = seed;
 }
 
-}  // namespace
+/// The one greedy-first wave scheduler behind RunRepairs and RunSearches:
+/// greedy jobs run first, then every other job, seeded from their
+/// incumbents. `run_one(job)` runs one job with serial search options.
+template <typename Outcome, typename Job, typename RunOne>
+std::vector<Outcome> RunWaves(const char* name, const FdSearchContext& ctx,
+                              const std::vector<Job>& jobs, ThreadPool* pool,
+                              RunOne run_one) {
+  const uint64_t version = ctx.version();
+  std::vector<Outcome> outcomes(jobs.size());
 
-std::vector<SweepOutcome> Sweep::RunRepairs(
-    const std::vector<SweepJob>& jobs) const {
-  CheckVersion("start");
-  std::vector<SweepOutcome> outcomes(jobs.size());
-
-  std::vector<size_t> greedy_idx, other_idx;
+  // A uniform-policy sweep leaves one wave empty, so it runs as one wave.
+  std::vector<size_t> first_wave, second_wave;
   for (size_t i = 0; i < jobs.size(); ++i) {
-    (IsGreedy(jobs[i].opts.search) ? greedy_idx : other_idx).push_back(i);
+    (IsGreedy(SearchOptionsOf(jobs[i])) ? first_wave : second_wave)
+        .push_back(i);
   }
 
   auto run_wave = [&](const std::vector<size_t>& wave,
-                      const std::vector<double>& seeds) {
-    TaskGroup group(pool());
-    for (size_t k = 0; k < wave.size(); ++k) {
-      const size_t i = wave[k];
-      const double seed = seeds.empty() ? 0.0 : seeds[k];
-      group.Run([this, &jobs, &outcomes, i, seed] {
-        const SweepJob& job = jobs[i];
-        RepairOptions opts = job.opts;
-        opts.search.exec = Options{};  // jobs are the unit of parallelism
-        ApplySeed(&opts.search, seed);
-        Timer timer;
-        SweepOutcome& out = outcomes[i];
-        out.tau = job.tau;
-        RepairOutcome run = RunRepair(ctx_, inst_, job.tau, opts);
-        out.repair = std::move(run.repair);
-        out.stats = run.stats;
-        out.termination = run.termination;
-        out.seconds = timer.ElapsedSeconds();
+                      const std::vector<std::pair<int64_t, double>>&
+                          incumbents) {
+    TaskGroup group(pool);
+    for (size_t i : wave) {
+      const double seed = SeedFor(jobs[i].tau, incumbents);
+      group.Run([&jobs, &outcomes, &run_one, i, seed] {
+        Job job = jobs[i];
+        ModifyFdsOptions& search = SearchOptionsOf(job);
+        search.exec = Options{};  // jobs are the unit of parallelism
+        ApplySeed(&search, seed);
+        outcomes[i] = run_one(job);
       });
     }
     group.Wait();
   };
 
-  if (greedy_idx.empty() || other_idx.empty()) {
-    // Uniform-policy sweep: one wave, exactly the pre-seeding behavior.
-    std::vector<size_t> all(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) all[i] = i;
-    run_wave(all, {});
-  } else {
-    run_wave(greedy_idx, {});
-    std::vector<std::pair<int64_t, double>> incumbents;
-    for (size_t i : greedy_idx) {
-      if (outcomes[i].repair.has_value()) {
-        incumbents.emplace_back(jobs[i].tau, outcomes[i].repair->distc);
-      }
+  run_wave(first_wave, {});
+  std::vector<std::pair<int64_t, double>> incumbents;
+  for (size_t i : first_wave) {
+    if (outcomes[i].repair.has_value()) {
+      incumbents.emplace_back(jobs[i].tau, outcomes[i].repair->distc);
     }
-    std::vector<double> seeds(other_idx.size());
-    for (size_t k = 0; k < other_idx.size(); ++k) {
-      seeds[k] = SeedFor(jobs[other_idx[k]].tau, incumbents);
-    }
-    run_wave(other_idx, seeds);
   }
+  run_wave(second_wave, incumbents);
 
-  CheckVersion("finish");
+  if (ctx.version() != version) {
+    throw std::logic_error(
+        std::string("exec::") + name + ": context version moved from " +
+        std::to_string(version) + " to " + std::to_string(ctx.version()) +
+        " while the sweep ran — a delta raced it");
+  }
   return outcomes;
 }
 
-std::vector<ModifyFdsResult> Sweep::RunSearches(
-    const std::vector<int64_t>& taus, const ModifyFdsOptions& opts) const {
-  std::vector<SearchJob> jobs(taus.size());
-  for (size_t i = 0; i < taus.size(); ++i) {
-    jobs[i].tau = taus[i];
-    jobs[i].opts = opts;
-  }
-  return RunSearches(jobs);
+}  // namespace
+
+std::vector<RepairOutcome> RunRepairs(const FdSearchContext& ctx,
+                                      const EncodedInstance& inst,
+                                      const std::vector<SweepJob>& jobs,
+                                      ThreadPool* pool) {
+  return RunWaves<RepairOutcome>(
+      "RunRepairs", ctx, jobs, pool, [&ctx, &inst](const SweepJob& job) {
+        return RunRepair(ctx, inst, job.tau, job.opts);
+      });
 }
 
-std::vector<ModifyFdsResult> Sweep::RunSearches(
-    const std::vector<SearchJob>& jobs) const {
-  CheckVersion("start");
-  std::vector<ModifyFdsResult> results(jobs.size());
-
-  std::vector<size_t> greedy_idx, other_idx;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    (IsGreedy(jobs[i].opts) ? greedy_idx : other_idx).push_back(i);
-  }
-
-  auto run_wave = [&](const std::vector<size_t>& wave,
-                      const std::vector<double>& seeds) {
-    TaskGroup group(pool());
-    for (size_t k = 0; k < wave.size(); ++k) {
-      const size_t i = wave[k];
-      const double seed = seeds.empty() ? 0.0 : seeds[k];
-      group.Run([this, &jobs, &results, i, seed] {
-        ModifyFdsOptions opts = jobs[i].opts;
-        opts.exec = Options{};  // jobs are the unit of parallelism
-        ApplySeed(&opts, seed);
-        results[i] = ModifyFds(ctx_, jobs[i].tau, opts);
+std::vector<ModifyFdsResult> RunSearches(const FdSearchContext& ctx,
+                                         const std::vector<SearchJob>& jobs,
+                                         ThreadPool* pool) {
+  return RunWaves<ModifyFdsResult>(
+      "RunSearches", ctx, jobs, pool, [&ctx](const SearchJob& job) {
+        return ModifyFds(ctx, job.tau, job.opts);
       });
-    }
-    group.Wait();
-  };
-
-  if (greedy_idx.empty() || other_idx.empty()) {
-    std::vector<size_t> all(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) all[i] = i;
-    run_wave(all, {});
-  } else {
-    run_wave(greedy_idx, {});
-    std::vector<std::pair<int64_t, double>> incumbents;
-    for (size_t i : greedy_idx) {
-      if (results[i].repair.has_value()) {
-        incumbents.emplace_back(jobs[i].tau, results[i].repair->distc);
-      }
-    }
-    std::vector<double> seeds(other_idx.size());
-    for (size_t k = 0; k < other_idx.size(); ++k) {
-      seeds[k] = SeedFor(jobs[other_idx[k]].tau, incumbents);
-    }
-    run_wave(other_idx, seeds);
-  }
-
-  CheckVersion("finish");
-  return results;
 }
 
 std::vector<int64_t> TauGridFromRelative(const std::vector<double>& taus_r,

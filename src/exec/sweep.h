@@ -20,10 +20,8 @@
 #ifndef RETRUST_EXEC_SWEEP_H_
 #define RETRUST_EXEC_SWEEP_H_
 
-#include <optional>
 #include <vector>
 
-#include "src/exec/options.h"
 #include "src/exec/thread_pool.h"
 #include "src/repair/repair_driver.h"
 
@@ -49,88 +47,33 @@ struct SweepJob {
   RepairOptions opts;
 };
 
-/// Outcome of one job, in job order. `stats` and `termination` are filled
-/// even when no repair exists (budget, deadline, cancellation, or a proven
-/// no-goal) — the api/ facade's Status mapping depends on that.
-struct SweepOutcome {
-  int64_t tau = 0;
-  std::optional<Repair> repair;
-  SearchStats stats;
-  SearchTermination termination = SearchTermination::kCompleted;
-  double seconds = 0.0;  ///< wall-clock of this job alone
-};
-
 /// One search-only job (Algorithm 2, no data materialization).
 struct SearchJob {
   int64_t tau = 0;
   ModifyFdsOptions opts;
 };
 
-/// Scheduler over one shared (Σ, I) search context. The context and the
-/// instance must outlive the sweep; both are only read (the context's
-/// const interface is thread-safe by design). The worker pool is spawned
-/// once at construction and reused across Run* calls, so repeated sweeps
-/// (grid refinements, benchmark loops) pay no per-call thread churn.
-///
-/// Snapshot discipline: the sweep pins the context's data version
-/// (FdSearchContext::version()) at construction. Every Run* verifies the
-/// pin before scheduling AND after draining — so a sweep never starts
-/// against a context that was delta-patched since the pin (call Refresh()
-/// after an intentional FdSearchContext::ApplyDelta), and a delta that
-/// races a running sweep is detected instead of silently mixing pre- and
-/// post-delta answers (both cases throw std::logic_error).
-class Sweep {
- public:
-  /// `shared_pool` (nullable, NOT owned) lets many sweeps — e.g. one per
-  /// cached context of one per tenant Session of a multi-tenant server —
-  /// schedule on a single process-wide pool instead of each spawning its
-  /// own workers. When null, the sweep owns a pool per `options` exactly
-  /// as before. A shared pool must outlive every sweep using it.
-  Sweep(const FdSearchContext& ctx, const EncodedInstance& inst,
-        Options options = {}, ThreadPool* shared_pool = nullptr);
+// Both runners schedule on `pool` (nullable, NOT owned; null = serial
+// inline execution) and only read `ctx` and `inst`, whose const interfaces
+// are thread-safe by design. Results come back in job order.
+//
+// Snapshot discipline: each call reads the context's data version
+// (FdSearchContext::version()) on entry and throws std::logic_error if it
+// changed by exit, so a delta that races a running sweep is detected
+// instead of silently mixing pre- and post-delta answers. Nothing outlives
+// a call, so a delta applied BETWEEN calls needs no re-pinning.
 
-  /// Re-pins the context version after an intentional ApplyDelta.
-  /// Requires external exclusion against concurrent Run* calls (the
-  /// session's apply lock provides it).
-  void Refresh() { pinned_version_ = ctx_.version(); }
+/// Runs Algorithm 1 (RunRepair) for every job concurrently. Each outcome
+/// carries its job's wall-clock `seconds`; τ is the job's.
+std::vector<RepairOutcome> RunRepairs(const FdSearchContext& ctx,
+                                      const EncodedInstance& inst,
+                                      const std::vector<SweepJob>& jobs,
+                                      ThreadPool* pool);
 
-  /// The version Run* will insist on.
-  uint64_t pinned_version() const { return pinned_version_; }
-
-  /// Runs Algorithm 1 (RepairDataAndFds) for every job concurrently.
-  std::vector<SweepOutcome> RunRepairs(const std::vector<SweepJob>& jobs) const;
-
-  /// Runs Algorithm 2 (ModifyFds) at every τ concurrently with shared
-  /// search options.
-  std::vector<ModifyFdsResult> RunSearches(
-      const std::vector<int64_t>& taus,
-      const ModifyFdsOptions& opts = {}) const;
-
-  /// Same with per-job options (mode, budgets, cancellation).
-  std::vector<ModifyFdsResult> RunSearches(
-      const std::vector<SearchJob>& jobs) const;
-
-  const FdSearchContext& context() const { return ctx_; }
-  const Options& options() const { return options_; }
-
- private:
-  /// Throws std::logic_error unless the context still carries the pinned
-  /// version (`when` names the offending phase in the message).
-  void CheckVersion(const char* when) const;
-
-  /// The pool Run* schedules on: the shared one when provided, else the
-  /// owned one (null = serial inline execution).
-  ThreadPool* pool() const {
-    return external_pool_ != nullptr ? external_pool_ : pool_.get();
-  }
-
-  const FdSearchContext& ctx_;
-  const EncodedInstance& inst_;
-  Options options_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when options are serial
-  ThreadPool* external_pool_ = nullptr;  ///< not owned; wins over pool_
-  uint64_t pinned_version_ = 0;
-};
+/// Runs Algorithm 2 (ModifyFds) for every job concurrently.
+std::vector<ModifyFdsResult> RunSearches(const FdSearchContext& ctx,
+                                         const std::vector<SearchJob>& jobs,
+                                         ThreadPool* pool);
 
 /// Absolute τ grid from relative trust levels τr ∈ [0, 1] against a root
 /// bound (convenience for the Figure 9-12 style sweeps).

@@ -7,7 +7,7 @@
 // Algorithm 3 covers, and the unified-cost baseline all evaluate through
 // the one DeltaPEvaluator owned by their FdSearchContext — so one
 // ViolationTable and one CoverMemo serve every search, and every τ job of
-// an exec::Sweep, over a given (Σ, I).
+// an exec/ sweep, over a given (Σ, I).
 //
 // Every method is const and thread-safe, and every result is bit-identical
 // to the legacy per-state FD-set scans this layer replaced

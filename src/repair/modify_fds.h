@@ -113,8 +113,9 @@ struct ModifyFdsResult {
 /// layer (violation incidence table + memoized covers), state space, and
 /// heuristic. Build once, run ModifyFds/FindRepairsFds many times — also
 /// concurrently: every const method is thread-safe (pooled scratch owned
-/// by the evaluation layer, mutex-guarded memos), which is what
-/// exec::Sweep relies on; sweep jobs share the table AND the cover memo.
+/// by the evaluation layer, mutex-guarded memos), which is what the
+/// exec/ sweep runners rely on; sweep jobs share the table AND the cover
+/// memo.
 class FdSearchContext {
  public:
   /// `eopts` shards the difference-set and violation-table construction
@@ -160,8 +161,9 @@ class FdSearchContext {
   /// the index may carry a counted group), the pre-delta pair population
   /// is not recoverable from the post-delta instance, so the index is
   /// REBUILT with the blocked builder and all warm covers drop — still
-  /// bit-identical to a fresh build, just without the O(Δ·n) shortcut. Bumps version(); in-flight exec::Sweep runs
-  /// detect the bump and refuse to mix snapshots. NOT safe against
+  /// bit-identical to a fresh build, just without the O(Δ·n) shortcut.
+  /// Bumps version(); an exec/ sweep in flight detects the bump and
+  /// refuses to mix snapshots. NOT safe against
   /// concurrent const use — callers serialize deltas against queries
   /// (retrust::Session does this with a shared/exclusive lock).
   DeltaReport ApplyDelta(const EncodedInstance& inst,
@@ -178,7 +180,7 @@ class FdSearchContext {
                          exec::ThreadPool* pool);
 
   /// Monotone data-snapshot version, bumped by every ApplyDelta. Safe to
-  /// read concurrently with queries (exec::Sweep polls it).
+  /// read concurrently with queries (the exec/ sweep runners check it).
   uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }

@@ -2,16 +2,22 @@
 
 #include <cmath>
 
+#include "src/util/timer.h"
+
 namespace retrust {
 
 RepairOutcome RunRepair(const FdSearchContext& ctx,
                         const EncodedInstance& inst, int64_t tau,
                         const RepairOptions& opts) {
+  Timer timer;
   ModifyFdsResult search = ModifyFds(ctx, tau, opts.search);
   RepairOutcome outcome;
   outcome.stats = search.stats;
   outcome.termination = search.termination;
-  if (!search.repair.has_value()) return outcome;  // line 5: (φ, φ)
+  if (!search.repair.has_value()) {  // line 5: (φ, φ)
+    outcome.seconds = timer.ElapsedSeconds();
+    return outcome;
+  }
 
   const FdRepair& fd_repair = *search.repair;
   Rng rng(opts.seed);
@@ -28,14 +34,8 @@ RepairOutcome RunRepair(const FdSearchContext& ctx,
   out.stats = search.stats;
   out.incumbents = std::move(search.incumbents);
   outcome.repair = std::move(out);
+  outcome.seconds = timer.ElapsedSeconds();
   return outcome;
-}
-
-std::optional<Repair> RepairDataAndFds(const FdSearchContext& ctx,
-                                       const EncodedInstance& inst,
-                                       int64_t tau,
-                                       const RepairOptions& opts) {
-  return RunRepair(ctx, inst, tau, opts).repair;
 }
 
 std::optional<Repair> RepairDataAndFds(const FDSet& sigma,
@@ -45,7 +45,7 @@ std::optional<Repair> RepairDataAndFds(const FDSet& sigma,
                                        const RepairOptions& opts) {
   FdSearchContext ctx(sigma, inst, weights, opts.search.heuristic,
                       opts.search.exec);
-  return RepairDataAndFds(ctx, inst, tau, opts);
+  return RunRepair(ctx, inst, tau, opts).repair;
 }
 
 int64_t TauFromRelative(double tau_r, int64_t root_delta_p) {

@@ -45,9 +45,11 @@ struct RepairOutcome {
   std::optional<Repair> repair;
   SearchStats stats;  ///< step-1 search stats (same as repair->stats)
   SearchTermination termination = SearchTermination::kCompleted;
+  double seconds = 0.0;  ///< wall-clock of the whole run (search + step 2)
 };
 
-/// Algorithm 1 over a prebuilt search context, reporting the full outcome.
+/// Algorithm 1 over a prebuilt search context (reuse across τ values),
+/// reporting the full outcome.
 RepairOutcome RunRepair(const FdSearchContext& ctx,
                         const EncodedInstance& inst, int64_t tau,
                         const RepairOptions& opts = {});
@@ -58,12 +60,6 @@ std::optional<Repair> RepairDataAndFds(const FDSet& sigma,
                                        const EncodedInstance& inst,
                                        int64_t tau,
                                        const WeightFunction& weights,
-                                       const RepairOptions& opts = {});
-
-/// Same, over a prebuilt search context (reuse across τ values).
-std::optional<Repair> RepairDataAndFds(const FdSearchContext& ctx,
-                                       const EncodedInstance& inst,
-                                       int64_t tau,
                                        const RepairOptions& opts = {});
 
 /// Converts a relative trust level τr ∈ [0, 1] to an absolute τ against the

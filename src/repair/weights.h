@@ -51,7 +51,7 @@ class CardinalityWeight final : public WeightFunction {
 /// w(Y) = |π_Y(I)| (number of distinct Y-projections in the initial
 /// instance), w(∅) = 0 — the paper's experimental choice. Memoized; the
 /// memo is mutex-guarded so one weight instance may serve concurrent
-/// searches (exec::Sweep, parallel successor evaluation).
+/// searches (exec/ sweeps, parallel successor evaluation).
 class DistinctCountWeight final : public WeightFunction {
  public:
   /// Keeps a reference to `inst`; the instance must outlive the weight.

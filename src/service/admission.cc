@@ -56,14 +56,6 @@ void AdmissionController::ObserveLatency(double seconds) {
   have_ewma_ = true;
 }
 
-double AdmissionController::EstimatedWaitSeconds(size_t queue_depth) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!have_ewma_) return 0.0;
-  int workers = opts_.workers < 1 ? 1 : opts_.workers;
-  return ewma_seconds_ * static_cast<double>(queue_depth) /
-         static_cast<double>(workers);
-}
-
 AdmissionController::RejectionCounts AdmissionController::Rejections() const {
   std::lock_guard<std::mutex> lock(mu_);
   RejectionCounts counts;

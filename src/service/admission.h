@@ -63,10 +63,6 @@ class AdmissionController {
   /// must not be baked into the samples or it gets double-counted).
   void ObserveLatency(double seconds);
 
-  /// Expected queue wait with `queue_depth` requests ahead (0 until the
-  /// first latency observation).
-  double EstimatedWaitSeconds(size_t queue_depth) const;
-
   /// Point-in-time rejection tallies, one per gate — the only store of
   /// rejection counts. Server::Stats() copies them into ServerStats, and
   /// the metrics probe labels each gate as a `rejected_total{reason=...}`

@@ -746,13 +746,12 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
   if (verb == "dump_recent") {
     size_t limit = 0;
     if (const Json* raw = req.Get("limit")) {
-      if (!raw->is_number() || raw->AsInt() < 0) {
-        reply(ErrorJson(
-            Status::Error(StatusCode::kInvalidArgument,
-                          "'limit' must be a non-negative integer")));
+      Result<int64_t> n = WireInt(*raw, "limit", 0, kMaxWireInt);
+      if (!n.ok()) {
+        reply(ErrorJson(n.status()));
         return;
       }
-      limit = static_cast<size_t>(raw->AsInt());
+      limit = static_cast<size_t>(*n);
     }
     Json::Array records;
     for (const obs::FlightRecord& record : server.RecentRequests(limit)) {

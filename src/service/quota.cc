@@ -29,18 +29,8 @@ void QuotaManager::SetLimits(const std::string& tenant, QuotaLimits limits) {
   }
   Bucket& bucket = buckets_[tenant];
   bucket.limits = limits;
-  bucket.has_override = true;
   bucket.tokens = limits.unlimited() ? 0.0 : limits.effective_burst();
   bucket.last_refill = Now();
-}
-
-QuotaLimits QuotaManager::LimitsFor(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = buckets_.find(tenant);
-  if (it != buckets_.end() && it->second.has_override) {
-    return it->second.limits;
-  }
-  return defaults_;
 }
 
 void QuotaManager::Refill(Bucket* bucket, double now) {
@@ -72,17 +62,6 @@ bool QuotaManager::TryAcquire(const std::string& tenant) {
   if (bucket.tokens < 1.0) return false;
   bucket.tokens -= 1.0;
   return true;
-}
-
-double QuotaManager::AvailableTokens(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = buckets_.find(tenant);
-  if (it == buckets_.end()) {
-    return defaults_.unlimited() ? 0.0 : defaults_.effective_burst();
-  }
-  if (it->second.limits.unlimited()) return 0.0;
-  Refill(&it->second, Now());
-  return it->second.tokens;
 }
 
 }  // namespace retrust::service

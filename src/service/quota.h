@@ -57,25 +57,16 @@ class QuotaManager {
   /// mid-flight grants at most one fresh burst, never a stale larger one.
   void SetLimits(const std::string& tenant, QuotaLimits limits);
 
-  /// The limits a request for `tenant` is checked against (override if
-  /// set, else the default).
-  QuotaLimits LimitsFor(const std::string& tenant) const;
-
   /// Spends one token for `tenant`; false = quota exhausted (the caller
   /// rejects with kOverloaded). Unlimited tenants always pass and keep no
   /// bucket state.
   bool TryAcquire(const std::string& tenant);
-
-  /// Tokens currently available to `tenant` (capped at burst; burst when
-  /// unlimited-by-default and no bucket exists). For tests and stats.
-  double AvailableTokens(const std::string& tenant) const;
 
  private:
   struct Bucket {
     QuotaLimits limits;
     double tokens = 0.0;
     double last_refill = 0.0;
-    bool has_override = false;
   };
 
   /// Refills `bucket` to `now`. Caller holds mu_.
@@ -85,8 +76,8 @@ class QuotaManager {
 
   QuotaLimits defaults_;
   std::function<double()> clock_;
-  mutable std::mutex mu_;
-  mutable std::map<std::string, Bucket> buckets_;
+  std::mutex mu_;
+  std::map<std::string, Bucket> buckets_;
 };
 
 }  // namespace retrust::service

@@ -636,14 +636,6 @@ Submitted<std::vector<Result<RepairResponse>>> Client::Sweep(
   return std::move(out);
 }
 
-std::vector<Submitted<Result<RepairResponse>>> Client::RepairBatch(
-    const std::string& tenant, std::span<const RepairRequest> reqs) {
-  std::vector<Submitted<Result<RepairResponse>>> out;
-  out.reserve(reqs.size());
-  for (const RepairRequest& req : reqs) out.push_back(Repair(tenant, req));
-  return out;
-}
-
 Submitted<Result<ApplyStats>> Client::Apply(const std::string& tenant,
                                             DeltaBatch delta) {
   auto [out, done] = PromisedDone<Result<ApplyStats>>();
@@ -655,12 +647,6 @@ Submitted<Result<std::string>> Client::SaveSnapshot(const std::string& tenant,
                                                     std::string path) {
   auto [out, done] = PromisedDone<Result<std::string>>();
   out.id = SaveSnapshotAsync(tenant, std::move(path), std::move(done));
-  return std::move(out);
-}
-
-Submitted<Result<bool>> Client::UnloadTenant(const std::string& tenant) {
-  auto [out, done] = PromisedDone<Result<bool>>();
-  out.id = UnloadTenantAsync(tenant, std::move(done));
   return std::move(out);
 }
 

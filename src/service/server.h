@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -134,15 +133,10 @@ class Client {
                                         const RepairRequest& req);
 
   /// One queue unit running the whole batch through Session::RepairMany
-  /// on the tenant's sweep — the τ-sweep verb. Per-request deadlines
-  /// apply from execution start; the unit itself has no service deadline.
+  /// — the τ-sweep verb. Per-request deadlines apply from execution
+  /// start; the unit itself has no service deadline.
   Submitted<std::vector<Result<RepairResponse>>> Sweep(
       const std::string& tenant, std::vector<RepairRequest> reqs);
-
-  /// Batch submit: one queue entry per request (they drain independently,
-  /// interleaved fairly with other tenants), futures in request order.
-  std::vector<Submitted<Result<RepairResponse>>> RepairBatch(
-      const std::string& tenant, std::span<const RepairRequest> reqs);
 
   /// Session::Apply as a queued write: a per-tenant barrier — it executes
   /// only after the tenant's earlier requests drained, and later ones
@@ -156,12 +150,6 @@ class Client {
   /// The snapshot becomes the tenant's reload spec. Replies with the path.
   Submitted<Result<std::string>> SaveSnapshot(const std::string& tenant,
                                               std::string path);
-
-  /// Unloads the tenant's Session (memory reclaimed; the next request
-  /// reloads from its spec) as a queued WRITE, so it waits for the
-  /// tenant's earlier requests. kInvalidArgument when the tenant's state
-  /// cannot be reproduced from its spec and no snapshot_dir is set.
-  Submitted<Result<bool>> UnloadTenant(const std::string& tenant);
 
   // --- async variants ----------------------------------------------------
   // The same verbs completion-callback style: `done` is invoked EXACTLY
@@ -183,6 +171,10 @@ class Client {
                       std::function<void(Result<ApplyStats>)> done);
   uint64_t SaveSnapshotAsync(const std::string& tenant, std::string path,
                              std::function<void(Result<std::string>)> done);
+  /// Unloads the tenant's Session (memory reclaimed; the next request
+  /// reloads from its spec) as a queued WRITE, so it waits for the
+  /// tenant's earlier requests. kInvalidArgument when the tenant's state
+  /// cannot be reproduced from its spec and no snapshot_dir is set.
   uint64_t UnloadTenantAsync(const std::string& tenant,
                              std::function<void(Result<bool>)> done);
 

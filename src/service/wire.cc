@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "src/relational/csv.h"
@@ -326,6 +327,15 @@ Status WireError(const std::string& what) {
   return Status::Error(StatusCode::kInvalidArgument, "wire: " + what);
 }
 
+/// A tuple id: a non-negative integer that fits TupleId. Whether it names
+/// a live tuple is PlanDelta's check, against the instance.
+Result<TupleId> WireTupleId(const Json& v) {
+  Result<int64_t> n =
+      WireInt(v, "tuple id", 0, std::numeric_limits<TupleId>::max());
+  if (!n.ok()) return n.status();
+  return static_cast<TupleId>(*n);
+}
+
 const char* TerminationName(SearchTermination t) {
   switch (t) {
     case SearchTermination::kCompleted: return "completed";
@@ -338,17 +348,26 @@ const char* TerminationName(SearchTermination t) {
 
 }  // namespace
 
+Result<int64_t> WireInt(const Json& v, const std::string& field, int64_t lo,
+                        int64_t hi) {
+  const double d = v.is_number() ? v.AsNumber() : std::nan("");
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+      d != std::floor(d)) {
+    return WireError("'" + field + "' must be an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<int64_t>(d);
+}
+
 Result<RepairRequest> RepairRequestFromJson(const Json& obj) {
   if (!obj.is_object()) return WireError("request must be an object");
   RepairRequest req;
   const Json* tau = obj.Get("tau");
   const Json* tau_r = obj.Get("tau_r");
   if (tau != nullptr) {
-    if (!tau->is_number() || tau->AsInt() < 0 ||
-        tau->AsNumber() != std::floor(tau->AsNumber())) {
-      return WireError("'tau' must be a non-negative integer");
-    }
-    req.tau = tau->AsInt();
+    Result<int64_t> n = WireInt(*tau, "tau", 0, kMaxWireInt);
+    if (!n.ok()) return n.status();
+    req.tau = *n;
   } else if (tau_r != nullptr) {
     if (!tau_r->is_number()) return WireError("'tau_r' must be a number");
     req.tau_r = tau_r->AsNumber();
@@ -385,14 +404,14 @@ Result<RepairRequest> RepairRequestFromJson(const Json& obj) {
     req.upper_bound = ub->AsNumber();
   }
   if (const Json* seed = obj.Get("seed")) {
-    if (!seed->is_number()) return WireError("'seed' must be a number");
-    req.seed = static_cast<uint64_t>(seed->AsInt());
+    Result<int64_t> n = WireInt(*seed, "seed", 0, kMaxWireInt);
+    if (!n.ok()) return n.status();
+    req.seed = static_cast<uint64_t>(*n);
   }
   if (const Json* budget = obj.Get("budget")) {
-    if (!budget->is_number() || budget->AsInt() < 0) {
-      return WireError("'budget' must be a non-negative integer");
-    }
-    req.budget = budget->AsInt();
+    Result<int64_t> n = WireInt(*budget, "budget", 0, kMaxWireInt);
+    if (!n.ok()) return n.status();
+    req.budget = *n;
   }
   if (const Json* deadline = obj.Get("deadline_seconds")) {
     if (!deadline->is_number()) {
@@ -414,7 +433,9 @@ Result<DeltaBatch> DeltaBatchFromJson(const Json& obj, const Schema& schema) {
 
   auto resolve_attr = [&](const Json& v, AttrId* out) -> Status {
     if (v.is_number()) {
-      *out = static_cast<AttrId>(v.AsInt());
+      Result<int64_t> n = WireInt(v, "attribute", 0, num_attrs - 1);
+      if (!n.ok()) return n.status();
+      *out = static_cast<AttrId>(*n);
     } else if (v.is_string()) {
       *out = -1;
       for (AttrId a = 0; a < num_attrs; ++a) {
@@ -468,21 +489,23 @@ Result<DeltaBatch> DeltaBatchFromJson(const Json& obj, const Schema& schema) {
         return WireError(
             "each update must be [tuple_id, attr, \"value\"]");
       }
+      Result<TupleId> tuple = WireTupleId(u.AsArray()[0]);
+      if (!tuple.ok()) return tuple.status();
       AttrId attr = -1;
       Status status = resolve_attr(u.AsArray()[1], &attr);
       if (!status.ok()) return status;
       Value value;
       status = parse_cell(u.AsArray()[2].AsString(), attr, &value);
       if (!status.ok()) return status;
-      batch.Update(static_cast<TupleId>(u.AsArray()[0].AsInt()), attr,
-                   std::move(value));
+      batch.Update(*tuple, attr, std::move(value));
     }
   }
   if (const Json* deletes = obj.Get("deletes")) {
     if (!deletes->is_array()) return WireError("'deletes' must be an array");
     for (const Json& d : deletes->AsArray()) {
-      if (!d.is_number()) return WireError("delete ids must be numbers");
-      batch.Delete(static_cast<TupleId>(d.AsInt()));
+      Result<TupleId> tuple = WireTupleId(d);
+      if (!tuple.ok()) return tuple.status();
+      batch.Delete(*tuple);
     }
   }
   if (batch.Empty()) {

@@ -81,6 +81,8 @@ class Json {
 
   bool AsBool() const { return bool_; }
   double AsNumber() const { return number_; }
+  /// Unchecked truncation for trusted numbers; request decoders read
+  /// integers through WireInt instead.
   int64_t AsInt() const { return static_cast<int64_t>(number_); }
   const std::string& AsString() const { return string_; }
   const Array& AsArray() const { return array_; }
@@ -108,6 +110,16 @@ class Json {
 Result<Json> ParseJson(const std::string& text);
 
 // --- wire <-> api conversions -------------------------------------------
+
+/// Largest integer magnitude a JSON number (an IEEE double) holds exactly.
+inline constexpr int64_t kMaxWireInt = int64_t{1} << 53;
+
+/// The decoders' one checked integer read: `v` must be a number with no
+/// fractional part inside [lo, hi] (both within ±kMaxWireInt), else
+/// kInvalidArgument naming `field`. The range is checked before any
+/// conversion, so out-of-range doubles never reach an undefined cast.
+Result<int64_t> WireInt(const Json& v, const std::string& field, int64_t lo,
+                        int64_t hi);
 
 /// Reads the repair fields of a request object ("tau"/"tau_r", "mode",
 /// "seed", "budget", "deadline_seconds") into a RepairRequest.

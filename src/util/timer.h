@@ -18,9 +18,6 @@ class Timer {
   /// Seconds elapsed since construction / last Restart().
   double ElapsedSeconds() const;
 
-  /// Milliseconds elapsed since construction / last Restart().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -188,7 +189,7 @@ TEST(SessionRepair, DeadlineIsBudgetExceeded) {
 // --- Oracle equivalence --------------------------------------------------
 
 // Acceptance criterion: Session::Repair output is bit-identical to the
-// internal RepairDataAndFds for the same (Σ, I, τ, seed).
+// internal one-shot RepairDataAndFds for the same (Σ, I, τ, seed).
 TEST(SessionOracle, RepairMatchesRepairDataAndFds) {
   OracleData oracle = MakeOracleData();
   Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
@@ -202,8 +203,8 @@ TEST(SessionOracle, RepairMatchesRepairDataAndFds) {
     for (uint64_t seed : {uint64_t{1}, uint64_t{99}}) {
       RepairOptions opts;
       opts.seed = seed;
-      std::optional<Repair> want =
-          RepairDataAndFds(*oracle.context, *oracle.encoded, tau, opts);
+      std::optional<Repair> want = RepairDataAndFds(
+          oracle.sigma, *oracle.encoded, tau, *oracle.weights, opts);
       RepairRequest req = RepairRequest::At(tau);
       req.seed = seed;
       Result<RepairResponse> got = session->Repair(req);
@@ -575,6 +576,55 @@ TEST(ExecSharedPool, SessionResultsMatchPrivatePool) {
   ASSERT_TRUE(shared_session->Apply(delta).ok());
   EXPECT_EQ(private_session->RootDeltaP(), shared_session->RootDeltaP());
 }
+
+#ifdef __linux__
+/// The process's "Threads:" count from /proc/self/status, read until two
+/// reads 5 ms apart agree: a worker whose join just returned can still be
+/// counted for a moment while the kernel finishes tearing it down.
+int SettledThreadCount() {
+  auto read = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+    }
+    return -1;
+  };
+  int last = read();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const int now = read();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+// A session holds ONE pool of exec.num_threads workers however many
+// contexts it caches: batches and Apply share it, and context builds join
+// their short-lived sharding workers before returning.
+TEST(SessionPool, OnePoolServesEveryContextAndApply) {
+  const int before = SettledThreadCount();
+  ASSERT_GT(before, 0);
+  SessionOptions opts;
+  opts.exec.num_threads = 2;
+  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"}, opts);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
+  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
+  ASSERT_EQ(session->CachedContexts().cached, 3u);
+
+  DeltaBatch delta;
+  delta.Insert(SmallInstance().row(2));
+  ASSERT_TRUE(session->Apply(delta).ok());
+  std::vector<RepairRequest> reqs = {RepairRequest::AtRelative(0.0),
+                                     RepairRequest::AtRelative(1.0)};
+  for (const Result<RepairResponse>& r : session->RepairMany(reqs)) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+  EXPECT_EQ(SettledThreadCount() - before, 2);
+}
+#endif  // __linux__
 
 // --- Range enumeration ---------------------------------------------------
 

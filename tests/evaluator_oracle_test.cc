@@ -4,6 +4,8 @@
 // instances, states, thread counts, and τ values. The suite is named
 // Exec* so CI's TSan job exercises the memo's concurrency too.
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/eval/experiment.h"
@@ -246,8 +248,11 @@ TEST(ExecEvaluationOracle, SweepSharesCoverMemoAcrossTauJobs) {
   std::vector<int64_t> taus = exec::TauGridFromRelative(
       {0.1, 0.3, 0.5, 0.7, 0.9}, data.root_delta_p);
   CoverMemo::Stats before = data.context().evaluator().memo().stats();
-  exec::Sweep sweep(data.context(), data.encoded(), {4});
-  std::vector<ModifyFdsResult> swept = sweep.RunSearches(taus);
+  std::vector<exec::SearchJob> jobs;
+  for (int64_t tau : taus) jobs.push_back({tau, {}});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({4});
+  std::vector<ModifyFdsResult> swept =
+      exec::RunSearches(data.context(), jobs, pool.get());
   CoverMemo::Stats after = data.context().evaluator().memo().stats();
   ASSERT_EQ(swept.size(), taus.size());
   EXPECT_GT(after.hits, before.hits);  // cross-job (and in-job) reuse

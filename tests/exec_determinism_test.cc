@@ -1,8 +1,9 @@
 // The exec/ determinism contract: every parallel code path produces output
 // BIT-IDENTICAL to serial execution for any thread count — sharded
 // violation detection, speculative successor evaluation in ModifyFds, and
-// whole repairs through RepairDataAndFds, on a generated instance.
+// whole repairs through RunRepair, on a generated instance.
 
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -78,9 +79,10 @@ TEST(ExecDeterminism, ViolatingPairsShardedBitIdentical) {
   }
 }
 
-// The acceptance-criteria test: RepairDataAndFds output is byte-identical
-// at 1, 2, and 8 threads, across several trust levels (including τ values
-// where the search must relax FDs and where it must repair cells).
+// The acceptance-criteria test: Algorithm 1 (RunRepair) output is
+// byte-identical at 1, 2, and 8 threads, across several trust levels
+// (including τ values where the search must relax FDs and where it must
+// repair cells).
 TEST(ExecDeterminism, RepairDataAndFdsIdenticalAcrossThreadCounts) {
   ExperimentData data = MakeData();
   const Schema& schema = data.dirty_instance().schema();
@@ -88,13 +90,13 @@ TEST(ExecDeterminism, RepairDataAndFdsIdenticalAcrossThreadCounts) {
     int64_t tau = TauFromRelative(tau_r, data.root_delta_p);
     RepairOptions serial_opts;
     std::optional<Repair> serial =
-        RepairDataAndFds(data.context(), data.encoded(), tau, serial_opts);
+        RunRepair(data.context(), data.encoded(), tau, serial_opts).repair;
     std::string want = Fingerprint(serial, schema);
     for (int threads : {2, 8}) {
       RepairOptions opts;
       opts.search.exec.num_threads = threads;
       std::optional<Repair> parallel =
-          RepairDataAndFds(data.context(), data.encoded(), tau, opts);
+          RunRepair(data.context(), data.encoded(), tau, opts).repair;
       EXPECT_EQ(Fingerprint(parallel, schema), want)
           << "tau_r=" << tau_r << " threads=" << threads;
     }
@@ -139,9 +141,12 @@ TEST(ExecDeterminism, SweepMatchesIndependentSerialRuns) {
     serial.push_back(ModifyFds(data.context(), tau));
   }
 
+  std::vector<exec::SearchJob> jobs;
+  for (int64_t tau : taus) jobs.push_back({tau, {}});
   for (int threads : {1, 4}) {
-    exec::Sweep sweep(data.context(), data.encoded(), {threads});
-    std::vector<ModifyFdsResult> swept = sweep.RunSearches(taus);
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+    std::vector<ModifyFdsResult> swept =
+        exec::RunSearches(data.context(), jobs, pool.get());
     ASSERT_EQ(swept.size(), serial.size());
     for (size_t i = 0; i < taus.size(); ++i) {
       ASSERT_EQ(swept[i].repair.has_value(), serial[i].repair.has_value())
@@ -164,15 +169,15 @@ TEST(ExecDeterminism, SweepRepairsReturnedInJobOrder) {
     job.tau = TauFromRelative(tau_r, data.root_delta_p);
     jobs.push_back(job);
   }
-  exec::Sweep sweep(data.context(), data.encoded(), {4});
-  std::vector<exec::SweepOutcome> outcomes = sweep.RunRepairs(jobs);
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({4});
+  std::vector<RepairOutcome> outcomes =
+      exec::RunRepairs(data.context(), data.encoded(), jobs, pool.get());
   ASSERT_EQ(outcomes.size(), jobs.size());
   const Schema& schema = data.dirty_instance().schema();
   for (size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(outcomes[i].tau, jobs[i].tau);
     RepairOptions opts;
     std::optional<Repair> serial =
-        RepairDataAndFds(data.context(), data.encoded(), jobs[i].tau, opts);
+        RunRepair(data.context(), data.encoded(), jobs[i].tau, opts).repair;
     EXPECT_EQ(Fingerprint(outcomes[i].repair, schema),
               Fingerprint(serial, schema));
   }

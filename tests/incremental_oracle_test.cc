@@ -3,15 +3,16 @@
 // structures (difference-set index, violation table, cover memo answers,
 // search results) must be BIT-IDENTICAL to a from-scratch rebuild over the
 // mutated instance — for any thread count. Plus the snapshot-version
-// contract: a delta cannot race an exec::Sweep (suites named Exec* run
-// under CI's TSan job).
+// contract: a sweep after a delta answers for the new data, and a delta
+// cannot interleave with a Session request (suites named Exec* run under
+// CI's TSan job).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <random>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -323,18 +324,21 @@ TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
   EXPECT_EQ(session->CachedContexts().cached, 2u);  // reused, not rebuilt
 }
 
-// --- Snapshot versioning vs exec::Sweep (Exec* => runs under TSan) -------
+// --- Sweeps across deltas (Exec* => runs under TSan) --------------------
 
-TEST(ExecIncrementalVersion, StaleSweepRefusesToRun) {
+// The sweep runners hold no state between calls, so a sweep issued after
+// ApplyDelta needs no re-pinning step: it answers for the post-delta data,
+// exactly like a freshly built context.
+TEST(ExecIncrementalVersion, SweepAfterDeltaMatchesFreshContext) {
   std::mt19937_64 rng(3);
   Instance inst = RandomInstance(rng, 20, 5, 3);
   EncodedInstance enc(inst);
   CardinalityWeight weights;
   FDSet sigma = TestSigma();
   FdSearchContext ctx(sigma, enc, weights);
-  exec::Sweep sweep(ctx, enc);
-  ASSERT_EQ(sweep.pinned_version(), ctx.version());
-  ASSERT_EQ(sweep.RunSearches({int64_t{0}, ctx.RootDeltaP()}).size(), 2u);
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({2});
+  std::vector<exec::SearchJob> pre = {{0, {}}, {ctx.RootDeltaP(), {}}};
+  ASSERT_EQ(exec::RunSearches(ctx, pre, pool.get()).size(), 2u);
 
   DeltaBatch delta;
   delta.Insert(RandomTuple(rng, 5, 3));
@@ -343,13 +347,24 @@ TEST(ExecIncrementalVersion, StaleSweepRefusesToRun) {
   enc.ApplyDelta(delta, plan);
   ctx.ApplyDelta(enc, plan.dirty, plan.remap);
 
-  // The sweep's pinned snapshot is gone: running would mix pre- and
-  // post-delta state, so it must throw until Refresh() re-pins.
-  EXPECT_THROW(sweep.RunSearches(std::vector<int64_t>{0}), std::logic_error);
-  std::vector<exec::SweepJob> jobs(1);
-  EXPECT_THROW(sweep.RunRepairs(jobs), std::logic_error);
-  sweep.Refresh();
-  EXPECT_EQ(sweep.RunSearches(std::vector<int64_t>{0}).size(), 1u);
+  FdSearchContext fresh(sigma, enc, weights);
+  ASSERT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
+  std::vector<exec::SearchJob> post = {
+      {0, {}}, {fresh.RootDeltaP() / 2, {}}, {fresh.RootDeltaP(), {}}};
+  std::vector<ModifyFdsResult> got = exec::RunSearches(ctx, post, pool.get());
+  std::vector<ModifyFdsResult> want =
+      exec::RunSearches(fresh, post, /*pool=*/nullptr);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < post.size(); ++i) {
+    ASSERT_EQ(got[i].repair.has_value(), want[i].repair.has_value())
+        << "tau " << post[i].tau;
+    EXPECT_EQ(got[i].stats.states_visited, want[i].stats.states_visited);
+    if (want[i].repair.has_value()) {
+      EXPECT_EQ(got[i].repair->state.ext, want[i].repair->state.ext);
+      EXPECT_EQ(got[i].repair->distc, want[i].repair->distc);
+      EXPECT_EQ(got[i].repair->delta_p, want[i].repair->delta_p);
+    }
+  }
 }
 
 TEST(ExecIncrementalVersion, SessionBatchesWorkAcrossApplies) {

@@ -340,11 +340,13 @@ TEST(ObsServiceFlight, DumpRecentReturnsNewestFirstIncludingFailures) {
   Json one = wire.Call(Json(std::move(limited)));
   EXPECT_EQ(one.Get("records")->AsArray().size(), 1u);
 
-  Json::Object bad;
-  bad["op"] = Json("dump_recent");
-  bad["limit"] = Json(-1);
-  Json rejected = wire.Call(Json(std::move(bad)));
-  EXPECT_FALSE(rejected.Get("ok")->AsBool());
+  for (double limit : {-1.0, 2.5, 1e300}) {
+    Json::Object bad;
+    bad["op"] = Json("dump_recent");
+    bad["limit"] = Json(limit);
+    Json rejected = wire.Call(Json(std::move(bad)));
+    EXPECT_FALSE(rejected.Get("ok")->AsBool()) << limit;
+  }
 
   // The in-process accessors agree, and the slow log saw the repairs.
   EXPECT_EQ(wire.server.RecentRequests().size(), 3u);

@@ -105,8 +105,7 @@ TEST(RepairDriver, SweepYieldsNonDominatedRepairs) {
   };
   std::vector<Point> points;
   for (double tr : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
-    auto repair =
-        RepairDataAndFds(ctx, enc, TauFromRelative(tr, root), RepairOptions{});
+    auto repair = RunRepair(ctx, enc, TauFromRelative(tr, root)).repair;
     if (repair.has_value()) {
       points.push_back({repair->distc, repair->delta_p});
     }

@@ -111,11 +111,11 @@ TEST(SearchVariants, DuplicateFdsInSigma) {
   DistinctCountWeight w(wl.enc);
   FdSearchContext ctx(sigma, wl.enc, w);
   int64_t root = ctx.RootDeltaP();
-  auto repair = RepairDataAndFds(ctx, wl.enc, root, RepairOptions{});
+  auto repair = RunRepair(ctx, wl.enc, root).repair;
   ASSERT_TRUE(repair.has_value());
   EXPECT_TRUE(Satisfies(repair->data, repair->sigma_prime));
   // And at a mid trust level.
-  auto mid = RepairDataAndFds(ctx, wl.enc, root / 2, RepairOptions{});
+  auto mid = RunRepair(ctx, wl.enc, root / 2).repair;
   if (mid.has_value()) {
     EXPECT_TRUE(Satisfies(mid->data, mid->sigma_prime));
     EXPECT_LE(static_cast<int64_t>(mid->changed_cells.size()), root / 2);

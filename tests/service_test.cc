@@ -80,11 +80,24 @@ TEST(ServiceWire, RepairRequestParsing) {
   EXPECT_EQ(rel->tau, -1);
   EXPECT_DOUBLE_EQ(rel->tau_r, 0.5);
 
+  // Integers must be whole and in range: a bare double->int cast used to
+  // read "budget":-0.5 as 0 and "tau":1e300 as undefined behaviour.
+  Result<Json> widest = ParseJson(R"({"tau":9007199254740992,"budget":0})");
+  ASSERT_TRUE(widest.ok());
+  Result<RepairRequest> wide = RepairRequestFromJson(*widest);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(wide->tau, int64_t{1} << 53);
+
   for (const char* bad :
-       {R"({"op":"repair"})", R"({"tau":-2})", R"({"tau":1,"mode":"x"})"}) {
+       {R"({"op":"repair"})", R"({"tau":-2})", R"({"tau":1,"mode":"x"})",
+        R"({"tau":1,"budget":-0.5})", R"({"tau":1e300})", R"({"tau":2.5})",
+        R"({"tau":1,"seed":-1})", R"({"tau":1,"seed":1e20})",
+        R"({"tau":1,"budget":"7"})"}) {
     Result<Json> parsed = ParseJson(bad);
     ASSERT_TRUE(parsed.ok());
-    EXPECT_FALSE(RepairRequestFromJson(*parsed).ok()) << bad;
+    Result<RepairRequest> req = RepairRequestFromJson(*parsed);
+    ASSERT_FALSE(req.ok()) << bad;
+    EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << bad;
   }
 }
 
@@ -103,12 +116,27 @@ TEST(ServiceWire, DeltaBatchParsing) {
   EXPECT_EQ(batch->updates[1].attr, 1);  // index form
   EXPECT_EQ(batch->deletes.size(), 1u);
 
+  Result<Json> widest = ParseJson(R"({"deletes":[2147483647]})");
+  ASSERT_TRUE(widest.ok());
+  Result<DeltaBatch> wide = DeltaBatchFromJson(*widest, schema);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(wide->deletes[0], 2147483647);
+
+  // Tuple ids and attribute indices must be whole and fit their types: a
+  // bare double->int cast used to wrap the first two to tuple 0 and to
+  // tuple 1, attribute 1.
   for (const char* bad :
        {R"({})", R"({"inserts":[["one","two"]]})",
-        R"({"updates":[[0,"NoSuchAttr","v"]]})", R"({"deletes":["x"]})"}) {
+        R"({"updates":[[0,"NoSuchAttr","v"]]})", R"({"deletes":["x"]})",
+        R"({"deletes":[4294967296]})", R"({"updates":[[4294967297,1.5,"x"]]})",
+        R"({"deletes":[-1]})", R"({"deletes":[0.5]})",
+        R"({"deletes":[2147483648]})", R"({"updates":[[0,1.5,"x"]]})",
+        R"({"updates":[[0,3,"x"]]})"}) {
     Result<Json> parsed = ParseJson(bad);
     ASSERT_TRUE(parsed.ok());
-    EXPECT_FALSE(DeltaBatchFromJson(*parsed, schema).ok()) << bad;
+    Result<DeltaBatch> batch = DeltaBatchFromJson(*parsed, schema);
+    ASSERT_FALSE(batch.ok()) << bad;
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument) << bad;
   }
 }
 

@@ -15,6 +15,8 @@
 //     workers 1/2/4/8.
 //   * Sweep policy-aware scheduling — greedy-first seeding never changes
 //     an exact job's result (stats included).
+//   * Decoder fuzzing — seeded mutants of the fixtures below never crash
+//     a decoder or let an out-of-range id through.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -23,7 +25,9 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -539,6 +543,150 @@ TEST(ServiceSweepSeeding, GreedyFirstNeverChangesExactResults) {
     return StripVolatile(r.ok() ? ToJson(*r) : ErrorJson(r.status())).Dump();
   };
   EXPECT_EQ(probe_fp(probes_mixed[1]), probe_fp(probes_base[0]));
+}
+
+// --- decoder hardening ----------------------------------------------------
+
+/// Rebuilds `v` with its `*target`-th node (pre-order) mutated: an array
+/// gets one element duplicated, a number is swapped for a hostile one.
+Json MutateNode(const Json& v, int* target, std::mt19937_64* rng) {
+  static const double kHostile[] = {
+      4294967296.0, 4294967297.0, 2147483648.0, 9007199254740993.0,
+      1e300,        -1e300,       -1.0,         -0.5,
+      1.5,          1e-300};
+  const bool here = (*target)-- == 0;
+  if (v.is_array()) {
+    Json::Array items;
+    for (const Json& e : v.AsArray()) {
+      items.push_back(MutateNode(e, target, rng));
+    }
+    if (here && !items.empty()) {
+      const size_t i = (*rng)() % items.size();
+      Json copy = items[i];
+      items.insert(items.begin() + static_cast<std::ptrdiff_t>(i),
+                   std::move(copy));
+    }
+    return Json(std::move(items));
+  }
+  if (v.is_object()) {
+    Json::Object fields;
+    for (const auto& [key, e] : v.AsObject()) {
+      fields[key] = MutateNode(e, target, rng);
+    }
+    return Json(std::move(fields));
+  }
+  if (here && v.is_number()) {
+    return Json(kHostile[(*rng)() % std::size(kHostile)]);
+  }
+  return v;
+}
+
+int CountNodes(const Json& v) {
+  int n = 1;
+  if (v.is_array()) {
+    for (const Json& e : v.AsArray()) n += CountNodes(e);
+  } else if (v.is_object()) {
+    for (const auto& [key, e] : v.AsObject()) n += CountNodes(e);
+  }
+  return n;
+}
+
+/// Seeded, deterministic mutation fuzz of ParseJson -> RepairRequestFromJson
+/// / DeltaBatchFromJson over the wire-script fixtures (plus one insert):
+/// bit flips, truncations, duplicated array elements and hostile numbers.
+/// Every mutant must come back as a Status (rejections are
+/// kInvalidArgument), and every accepted delta must carry in-range ids.
+TEST(ServiceWire, DecoderMutationFuzz) {
+  const WireTenant tenant = MakeWireTenant(0);
+  const Schema& schema = tenant.data.schema();
+  const int m = schema.NumAttrs();
+  std::vector<Json> seeds = WireScript(tenant);
+  {
+    Json::Object apply;
+    apply["op"] = Json("apply_delta");
+    Json::Array row;
+    for (AttrId a = 0; a < m; ++a) {
+      row.push_back(Json(tenant.data.At(0, a).ToString()));
+    }
+    Json::Array inserts;
+    inserts.push_back(Json(std::move(row)));
+    apply["inserts"] = Json(std::move(inserts));
+    seeds.push_back(Json(std::move(apply)));
+  }
+
+  std::mt19937_64 rng(20240613);
+  constexpr int kMutants = 12000;
+  int parsed_count = 0, accepted_deltas = 0, accepted_requests = 0;
+  auto expect_rejection = [](const Status& status, const std::string& text) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
+  };
+  for (int i = 0; i < kMutants; ++i) {
+    const Json& seed = seeds[static_cast<size_t>(i) % seeds.size()];
+    std::string text;
+    switch (rng() % 4) {
+      case 0: {  // 1-3 bit flips
+        text = seed.Dump();
+        for (int f = 1 + static_cast<int>(rng() % 3); f > 0; --f) {
+          text[rng() % text.size()] ^= static_cast<char>(1u << (rng() % 8));
+        }
+        break;
+      }
+      case 1:  // truncation
+        text = seed.Dump();
+        text.resize(rng() % text.size());
+        break;
+      default: {  // 1-3 structural mutations (duplicates, hostile numbers)
+        Json doc = seed;
+        for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+          int target = static_cast<int>(rng() % CountNodes(doc));
+          doc = MutateNode(doc, &target, &rng);
+        }
+        text = doc.Dump();
+        break;
+      }
+    }
+
+    Result<Json> parsed = ParseJson(text);
+    if (!parsed.ok()) {
+      expect_rejection(parsed.status(), text);
+      continue;
+    }
+    ++parsed_count;
+    std::vector<const Json*> requests = {&*parsed};
+    const Json* batch = parsed->Get("requests");
+    if (batch != nullptr && batch->is_array()) {
+      for (const Json& r : batch->AsArray()) requests.push_back(&r);
+    }
+    for (const Json* r : requests) {
+      Result<RepairRequest> req = RepairRequestFromJson(*r);
+      if (!req.ok()) {
+        expect_rejection(req.status(), text);
+        continue;
+      }
+      ++accepted_requests;
+      EXPECT_TRUE(req->tau >= 0 || req->tau == -1) << text;
+      EXPECT_GE(req->budget, 0) << text;
+    }
+    Result<DeltaBatch> delta = DeltaBatchFromJson(*parsed, schema);
+    if (!delta.ok()) {
+      expect_rejection(delta.status(), text);
+      continue;
+    }
+    ++accepted_deltas;
+    for (const Tuple& row : delta->inserts) {
+      EXPECT_EQ(row.size(), static_cast<size_t>(m)) << text;
+    }
+    for (const auto& update : delta->updates) {
+      EXPECT_GE(update.tuple, 0) << text;
+      EXPECT_GE(update.attr, 0) << text;
+      EXPECT_LT(update.attr, m) << text;
+    }
+    for (TupleId t : delta->deletes) EXPECT_GE(t, 0) << text;
+  }
+  // The fuzz reached every decoder with both outcomes.
+  EXPECT_GT(parsed_count, kMutants / 4);
+  EXPECT_GT(accepted_requests, 0);
+  EXPECT_GT(accepted_deltas, 0);
 }
 
 }  // namespace
