@@ -7,48 +7,23 @@
 #include "src/persist/snapshot.h"
 #include "src/relational/csv.h"
 #include "src/repair/weights.h"
-#include "src/util/hash.h"
 #include "src/util/timer.h"
 
 namespace retrust {
 
 namespace {
 
-/// Cache key of a context: everything FdSearchContext construction consumes
-/// besides the (fixed) dataset. Collisions are disambiguated by the Σ
-/// equality probe in BundleFor.
-uint64_t Fingerprint(const FDSet& sigma, const SessionOptions& opts) {
-  uint64_t seed = 0x5e55104eULL;  // "session"
-  for (const FD& fd : sigma.fds()) {
-    HashCombine(&seed, fd.lhs.bits());
-    HashCombine(&seed, static_cast<uint64_t>(static_cast<uint32_t>(fd.rhs)));
-  }
-  HashCombine(&seed, static_cast<uint64_t>(opts.weights));
-  HashCombine(&seed, static_cast<uint64_t>(opts.heuristic.max_diffsets));
-  HashCombine(&seed, static_cast<uint64_t>(opts.heuristic.max_nodes));
-  HashCombine(&seed, opts.heuristic.strict_leave_check ? 1u : 0u);
-  HashCombine(&seed, static_cast<uint64_t>(opts.exec.ResolvedThreads()));
-  return seed;
-}
-
-/// Conflict edges held by a context's difference-set index — the sizing
-/// weight of the byte-accurate cache bound.
-int64_t IndexEdges(const FdSearchContext& ctx) {
-  int64_t edges = 0;
-  for (const DiffSetGroup& g : ctx.index().groups()) {
-    edges += g.frequency();  // counted groups weigh their logical pairs
-  }
-  return edges;
-}
-
-/// Edge-weighted memory estimate of one cached context. Edge storage
-/// dominates (every group keeps its edge list and the violation table and
-/// cover memo scale with groups, not tuples); the per-group constant
-/// covers the group record, its incidence row, and memo bookkeeping.
-size_t EstimateContextBytes(int64_t edges, int num_groups) {
+/// Edge-weighted memory estimate of a context. Edge storage dominates
+/// (every group keeps its edge list, and the violation table and cover
+/// memo scale with groups, not tuples); counted groups weigh their logical
+/// pairs, and the per-group constant covers the group record, its
+/// incidence row, and memo bookkeeping.
+size_t EstimateContextBytes(const FdSearchContext& ctx) {
   constexpr size_t kPerGroup = 128;
+  int64_t edges = 0;
+  for (const DiffSetGroup& g : ctx.index().groups()) edges += g.frequency();
   return static_cast<size_t>(edges) * sizeof(Edge) +
-         static_cast<size_t>(num_groups) * kPerGroup +
+         static_cast<size_t>(ctx.index().size()) * kPerGroup +
          sizeof(FdSearchContext);
 }
 
@@ -86,6 +61,39 @@ Result<RepairResponse> ToResponse(RepairOutcome outcome, int64_t tau) {
   return response;
 }
 
+/// Open's Σ check: kSchemaMismatch for an FD outside the `m`-attribute
+/// schema, kInvalidFd for a trivial one (RHS contained in LHS).
+Status ValidateFds(const FDSet& sigma, int m) {
+  const AttrSet universe = AttrSet::Universe(m);
+  for (const FD& fd : sigma.fds()) {
+    if (fd.rhs < 0 || fd.rhs >= m || !fd.lhs.SubsetOf(universe)) {
+      return Status::Error(StatusCode::kSchemaMismatch,
+                           "FD " + fd.ToString() +
+                               " references attributes outside the " +
+                               std::to_string(m) + "-attribute schema");
+    }
+    if (fd.IsTrivial()) {
+      return Status::Error(StatusCode::kInvalidFd,
+                           "FD " + fd.ToString() +
+                               " is trivial (RHS contained in LHS)");
+    }
+  }
+  return Status::Ok();
+}
+
+std::unique_ptr<WeightFunction> MakeWeights(WeightModel model,
+                                            const EncodedInstance& inst) {
+  switch (model) {
+    case WeightModel::kCardinality:
+      return std::make_unique<CardinalityWeight>();
+    case WeightModel::kEntropy:
+      return std::make_unique<EntropyWeight>(inst);
+    case WeightModel::kDistinctCount:
+      break;
+  }
+  return std::make_unique<DistinctCountWeight>(inst);
+}
+
 Result<FDSet> ParseFds(const std::vector<std::string>& fd_texts,
                        const Schema& schema) {
   try {
@@ -111,30 +119,27 @@ Result<int64_t> CheckedTauFromRelative(double tau_r, int64_t root_delta_p) {
   return TauFromRelative(tau_r, root_delta_p);
 }
 
-Session::Session(Instance data, SessionOptions opts)
-    : instance_(std::make_unique<Instance>(std::move(data))),
-      encoded_(std::make_unique<EncodedInstance>(*instance_)),
-      opts_(opts),
-      mu_(std::make_unique<std::mutex>()),
-      state_mu_(std::make_unique<std::shared_mutex>()),
-      own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
-                                            : nullptr) {}
-
 Session::Session(Instance data, EncodedInstance encoded, SessionOptions opts)
     : instance_(std::make_unique<Instance>(std::move(data))),
       encoded_(std::make_unique<EncodedInstance>(std::move(encoded))),
       opts_(opts),
-      mu_(std::make_unique<std::mutex>()),
+      weights_(MakeWeights(opts.weights, *encoded_)),
       state_mu_(std::make_unique<std::shared_mutex>()),
       own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
                                             : nullptr) {}
 
 Result<Session> Session::Open(Instance data, FDSet sigma,
                               SessionOptions opts) {
-  Session session(std::move(data), std::move(opts));
-  Status status = session.SetFds(std::move(sigma));
+  Status status = ValidateFds(sigma, data.schema().NumAttrs());
   if (!status.ok()) return status;
-  return session;
+  try {
+    EncodedInstance encoded(data);
+    Session session(std::move(data), std::move(encoded), std::move(opts));
+    session.BuildContext(sigma);
+    return session;
+  } catch (const std::exception& e) {
+    return Status::Error(StatusCode::kInternal, e.what());
+  }
 }
 
 Result<Session> Session::Open(Instance data,
@@ -179,15 +184,27 @@ Result<Session> Session::OpenSnapshot(const std::string& path,
                          "snapshot '" + path +
                              "' data stamp does not match its own payload");
   }
+  Status status = ValidateFds(data->sigma, data->encoded.NumAttrs());
+  if (!status.ok()) return status;
   try {
     Instance decoded = data->encoded.Decode();
     decoded.RestoreNextVarCounters(std::move(data->instance_next_var));
     Session session(std::move(decoded), std::move(data->encoded),
                     std::move(opts));
-    Status adopted =
-        session.AdoptContext(std::move(data->sigma), std::move(data->index),
-                             std::move(data->warm), data->root_delta_p);
-    if (!adopted.ok()) return adopted;
+    session.context_ = std::make_unique<FdSearchContext>(
+        data->sigma, *session.encoded_, *session.weights_,
+        session.opts_.heuristic, std::move(data->index),
+        std::move(data->warm));
+    session.SyncDerived();
+    // Self-check: a restored root δP that disagrees with the saved one
+    // means the file lied about its own content.
+    if (session.root_delta_p_ != data->root_delta_p) {
+      return Status::Error(
+          StatusCode::kIoError,
+          "snapshot failed its restore self-check: recomputed root deltaP " +
+              std::to_string(session.root_delta_p_) + " != saved " +
+              std::to_string(data->root_delta_p));
+    }
     session.data_version_ = data->data_version;
     return session;
   } catch (const std::exception& e) {
@@ -197,54 +214,22 @@ Result<Session> Session::OpenSnapshot(const std::string& path,
   }
 }
 
-Status Session::AdoptContext(FDSet sigma, DifferenceSetIndex index,
-                             DeltaPEvaluator::WarmState warm,
-                             int64_t expected_root_delta_p) {
-  Status status = Validate(sigma);
-  if (!status.ok()) return status;
-  try {
-    const uint64_t fp = Fingerprint(sigma, opts_);
-    std::lock_guard<std::mutex> lock(*mu_);
-    const WeightFunction* weights = &WeightFor(opts_.weights);
-    auto context = std::make_unique<FdSearchContext>(
-        sigma, *encoded_, *weights, opts_.heuristic, std::move(index),
-        std::move(warm));
-    std::shared_ptr<ContextBundle> bundle =
-        MakeBundle(std::move(sigma), weights, std::move(context));
-    if (bundle->root_delta_p != expected_root_delta_p) {
-      return Status::Error(
-          StatusCode::kIoError,
-          "snapshot failed its restore self-check: recomputed root deltaP " +
-              std::to_string(bundle->root_delta_p) + " != saved " +
-              std::to_string(expected_root_delta_p));
-    }
-    ++cache_misses_;  // a restore builds (cheaply); it did not hit the cache
-    cache_[fp].push_back(bundle);
-    active_fingerprint_ = fp;
-    active_ = std::move(bundle);
-  } catch (const std::exception& e) {
-    return Status::Error(StatusCode::kIoError,
-                         std::string("snapshot restore failed: ") + e.what());
-  }
-  return Status::Ok();
-}
-
 Status Session::SaveSnapshot(const std::string& path) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
   try {
     persist::SnapshotView view;
     view.fingerprint = persist::ConfigFingerprint(
-        active_->sigma, static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+        fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
     view.data_stamp = persist::DataStamp(*encoded_);
     view.data_version = data_version_;
-    view.root_delta_p = active_->root_delta_p;
+    view.root_delta_p = root_delta_p_;
     view.weight_model = static_cast<uint8_t>(opts_.weights);
     view.heuristic = opts_.heuristic;
     view.encoded = encoded_.get();
     view.instance_next_var = &instance_->next_var_counters();
-    view.sigma = &active_->sigma;
-    view.index = &active_->context->index();
-    view.warm = active_->context->evaluator().ExportWarmState();
+    view.sigma = &fds();
+    view.index = &context_->index();
+    view.warm = context_->evaluator().ExportWarmState();
     return persist::WriteSnapshotFile(path, view);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
@@ -254,7 +239,7 @@ Status Session::SaveSnapshot(const std::string& path) const {
 Status Session::EnableJournal(const std::string& path) {
   std::unique_lock<std::shared_mutex> snapshot(*state_mu_);
   const uint64_t fp = persist::ConfigFingerprint(
-      active_->sigma, static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+      fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
   std::error_code ec;
   const bool exists = std::filesystem::exists(path, ec) && !ec &&
                       std::filesystem::file_size(path, ec) > 0 && !ec;
@@ -295,7 +280,7 @@ Result<int> Session::ReplayJournal(const std::string& path) {
           "would be re-logged); replay first, then EnableJournal");
     }
     const uint64_t fp = persist::ConfigFingerprint(
-        active_->sigma, static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+        fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
     if (contents->header.fingerprint != fp) {
       return Status::Error(
           StatusCode::kSchemaMismatch,
@@ -329,154 +314,15 @@ Result<int> Session::ReplayJournal(const std::string& path) {
   return applied;
 }
 
-Status Session::Validate(const FDSet& sigma) const {
-  const int m = encoded_->NumAttrs();
-  const AttrSet universe = AttrSet::Universe(m);
-  for (int i = 0; i < sigma.size(); ++i) {
-    const FD& fd = sigma.fd(i);
-    if (fd.rhs < 0 || fd.rhs >= m || !fd.lhs.SubsetOf(universe)) {
-      return Status::Error(StatusCode::kSchemaMismatch,
-                           "FD " + fd.ToString() +
-                               " references attributes outside the " +
-                               std::to_string(m) + "-attribute schema");
-    }
-    if (fd.IsTrivial()) {
-      return Status::Error(StatusCode::kInvalidFd,
-                           "FD " + fd.ToString() +
-                               " is trivial (RHS contained in LHS)");
-    }
-  }
-  return Status::Ok();
+void Session::BuildContext(const FDSet& sigma) {
+  context_ = std::make_unique<FdSearchContext>(sigma, *encoded_, *weights_,
+                                               opts_.heuristic, opts_.exec);
+  SyncDerived();
 }
 
-const WeightFunction& Session::WeightFor(WeightModel model) {
-  std::unique_ptr<WeightFunction>& slot = weight_cache_[static_cast<int>(model)];
-  if (slot == nullptr) {
-    switch (model) {
-      case WeightModel::kDistinctCount:
-        slot = std::make_unique<DistinctCountWeight>(*encoded_);
-        break;
-      case WeightModel::kCardinality:
-        slot = std::make_unique<CardinalityWeight>();
-        break;
-      case WeightModel::kEntropy:
-        slot = std::make_unique<EntropyWeight>(*encoded_);
-        break;
-    }
-  }
-  return *slot;
-}
-
-std::shared_ptr<Session::ContextBundle> Session::BundleFor(FDSet sigma) {
-  const uint64_t fp = Fingerprint(sigma, opts_);
-  std::lock_guard<std::mutex> lock(*mu_);
-  const WeightFunction* weights = &WeightFor(opts_.weights);
-  std::vector<std::shared_ptr<ContextBundle>>& bucket = cache_[fp];
-  // Σ/weights equality disambiguates genuine 64-bit collisions.
-  for (const std::shared_ptr<ContextBundle>& bundle : bucket) {
-    if (bundle->sigma == sigma && bundle->weights == weights) {
-      ++cache_hits_;
-      ++bundle->hits;
-      bundle->last_used = ++use_clock_;
-      active_fingerprint_ = fp;
-      return bundle;
-    }
-  }
-  ++cache_misses_;
-  auto context = std::make_unique<FdSearchContext>(
-      sigma, *encoded_, *weights, opts_.heuristic, opts_.exec);
-  std::shared_ptr<ContextBundle> bundle =
-      MakeBundle(std::move(sigma), weights, std::move(context));
-  bucket.push_back(bundle);
-  active_fingerprint_ = fp;
-  return bundle;
-}
-
-std::shared_ptr<Session::ContextBundle> Session::MakeBundle(
-    FDSet sigma, const WeightFunction* weights,
-    std::unique_ptr<FdSearchContext> context) {
-  auto bundle = std::make_shared<ContextBundle>();
-  bundle->sigma = std::move(sigma);
-  bundle->weights = weights;
-  bundle->context = std::move(context);
-  bundle->SyncDerived();
-  bundle->last_used = ++use_clock_;
-  return bundle;
-}
-
-void Session::ContextBundle::SyncDerived() {
-  root_delta_p = context->RootDeltaP();
-  edges = IndexEdges(*context);
-  bytes = EstimateContextBytes(edges, context->index().size());
-}
-
-void Session::EvictIfNeeded() {
-  if (opts_.max_cached_contexts == 0 && opts_.max_cached_bytes == 0) return;
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto over_budget = [this] {
-    size_t n = 0;
-    size_t bytes = 0;
-    for (const auto& [fp, bucket] : cache_) {
-      n += bucket.size();
-      for (const std::shared_ptr<ContextBundle>& b : bucket) bytes += b->bytes;
-    }
-    return (opts_.max_cached_contexts != 0 &&
-            n > opts_.max_cached_contexts) ||
-           (opts_.max_cached_bytes != 0 && bytes > opts_.max_cached_bytes);
-  };
-  while (over_budget()) {
-    // Oldest last_used wins; the active context is exempt so the cache
-    // always answers for the live Σ.
-    std::map<uint64_t,
-             std::vector<std::shared_ptr<ContextBundle>>>::iterator
-        victim_bucket = cache_.end();
-    size_t victim_slot = 0;
-    uint64_t victim_age = 0;
-    bool found = false;
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      for (size_t i = 0; i < it->second.size(); ++i) {
-        const ContextBundle* b = it->second[i].get();
-        if (b == active_.get()) continue;
-        if (!found || b->last_used < victim_age) {
-          victim_bucket = it;
-          victim_slot = i;
-          victim_age = b->last_used;
-          found = true;
-        }
-      }
-    }
-    if (!found) return;  // only the active bundle left
-    victim_bucket->second.erase(victim_bucket->second.begin() + victim_slot);
-    if (victim_bucket->second.empty()) cache_.erase(victim_bucket);
-    ++cache_evictions_;
-  }
-}
-
-Status Session::SetFds(FDSet sigma) {
-  Status status = Validate(sigma);
-  if (!status.ok()) return status;
-  try {
-    active_ = BundleFor(std::move(sigma));
-    EvictIfNeeded();
-  } catch (const std::exception& e) {
-    return Status::Error(StatusCode::kInternal, e.what());
-  }
-  return Status::Ok();
-}
-
-Status Session::SetFds(const std::vector<std::string>& fd_texts) {
-  Result<FDSet> sigma = ParseFds(fd_texts, schema());
-  if (!sigma.ok()) return sigma.status();
-  return SetFds(std::move(*sigma));
-}
-
-Status Session::SetWeights(WeightModel weights) {
-  FDSet sigma = active_->sigma;
-  WeightModel previous = opts_.weights;
-  opts_.weights = weights;
-  Status status = SetFds(std::move(sigma));
-  if (!status.ok()) opts_.weights = previous;  // failed switch changes nothing
-  return status;
+void Session::SyncDerived() {
+  root_delta_p_ = context_->RootDeltaP();
+  context_bytes_ = EstimateContextBytes(*context_);
 }
 
 Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
@@ -511,61 +357,27 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
   try {
     instance_->ApplyDelta(delta, plan);
     encoded_->ApplyDelta(delta, plan);
-    bool patch_failed = false;
-    {
-      std::lock_guard<std::mutex> lock(*mu_);
-      // Memoized projections are stale against the mutated instance; they
-      // refill lazily on the next Weight() call.
-      for (auto& [model, weights] : weight_cache_) weights->Invalidate();
-      // Patch EVERY cached context (they all read the one shared encoded
-      // instance, so none may survive un-patched) on the session's one
-      // pool — no per-batch or per-context thread churn on the streaming
-      // append path.
-      try {
-        for (auto& [fp, bucket] : cache_) {
-          for (const std::shared_ptr<ContextBundle>& bundle : bucket) {
-            FdSearchContext::DeltaReport report =
-                bundle->context->ApplyDelta(*encoded_, plan.dirty,
-                                            plan.remap, pool());
-            bundle->SyncDerived();
-            ++stats.contexts_patched;
-            stats.edges_removed += report.index.edges_removed;
-            stats.edges_added += report.index.edges_added;
-            stats.groups_preserved += report.index.groups_preserved;
-            stats.groups_changed += report.index.groups_changed;
-            stats.covers_kept += report.evaluator.memo.entries_kept;
-            stats.covers_dropped += report.evaluator.memo.entries_dropped;
-          }
-        }
-      } catch (...) {
-        // A half-patched cache over the already-mutated instance would be
-        // silently wrong (stale tuple ids, unbumped versions). Fall back
-        // to consistency over warmth: drop every context and rebuild the
-        // active Σ from scratch below.
-        patch_failed = true;
-        cache_.clear();
-      }
-    }
-    if (patch_failed) {
-      stats = ApplyStats{};
-      stats.tuples_inserted = static_cast<int>(delta.inserts.size());
-      stats.tuples_updated = static_cast<int>(delta.updates.size());
-      stats.tuples_deleted = static_cast<int>(delta.deletes.size());
-      std::shared_ptr<ContextBundle> fresh =
-          BundleFor(active_->sigma);  // fresh over the mutated data
-      {
-        // CachedContexts reads active_ under mu_; publish likewise.
-        std::lock_guard<std::mutex> lock(*mu_);
-        active_ = std::move(fresh);
-      }
-      stats.contexts_patched = 1;
-      stats.groups_changed = active_->context->index().size();
+    // Memoized projections are stale against the mutated instance; they
+    // refill lazily on the next Weight() call.
+    weights_->Invalidate();
+    try {
+      FdSearchContext::DeltaReport report = context_->ApplyDelta(
+          *encoded_, plan.dirty, plan.remap, pool());
+      SyncDerived();
+      stats.edges_removed = report.index.edges_removed;
+      stats.edges_added = report.index.edges_added;
+      stats.groups_preserved = report.index.groups_preserved;
+      stats.groups_changed = report.index.groups_changed;
+      stats.covers_kept = report.evaluator.memo.entries_kept;
+      stats.covers_dropped = report.evaluator.memo.entries_dropped;
+    } catch (...) {
+      // A half-patched context over the already-mutated instance would be
+      // silently wrong (stale tuple ids, unbumped version). Fall back to
+      // consistency over warmth: rebuild it from scratch.
+      BuildContext(fds());
+      stats.groups_changed = context_->index().size();
     }
     ++data_version_;
-    // Deltas grow contexts in place (bundle->bytes was just refreshed), so
-    // the byte bound must be re-enforced here, not only on SetFds — an
-    // append-heavy tenant would otherwise outgrow it unchecked.
-    EvictIfNeeded();
   } catch (const std::exception& e) {
     // Only the in-place instance mutation or the from-scratch fallback can
     // land here (e.g. OOM); the session may be unusable.
@@ -585,7 +397,7 @@ Result<int64_t> Session::ResolveTau(const RepairRequest& req) const {
     return Status::Error(StatusCode::kInvalidArgument,
                          "request sets neither tau nor tau_r");
   }
-  return CheckedTauFromRelative(req.tau_r, RootDeltaPLocked());
+  return CheckedTauFromRelative(req.tau_r, root_delta_p_);
 }
 
 ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
@@ -623,7 +435,7 @@ Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
     opts.search = SearchOptions(req);
     opts.seed = req.seed;
     RepairOutcome outcome =
-        RunRepair(*active_->context, *encoded_, *tau, opts);
+        RunRepair(*context_, *encoded_, *tau, opts);
     if (session_span != nullptr) {
       obs::TraceSpan* search_span = session_span->StartChild("search");
       search_span->set_seconds(outcome.stats.seconds);
@@ -690,7 +502,7 @@ std::vector<Result<RepairResponse>> Session::RepairMany(
         return job;
       },
       [this](const std::vector<exec::SweepJob>& jobs) {
-        return exec::RunRepairs(*active_->context, *encoded_, jobs, pool());
+        return exec::RunRepairs(*context_, *encoded_, jobs, pool());
       },
       [](RepairOutcome out, const exec::SweepJob& job) {
         return ToResponse(std::move(out), job.tau);
@@ -705,7 +517,7 @@ Result<SearchProbe> Session::Search(const RepairRequest& req) const {
     Timer timer;
     SearchProbe probe;
     probe.tau = *tau;
-    probe.result = ModifyFds(*active_->context, *tau, SearchOptions(req));
+    probe.result = ModifyFds(*context_, *tau, SearchOptions(req));
     probe.seconds = timer.ElapsedSeconds();
     return probe;
   } catch (const std::exception& e) {
@@ -725,7 +537,7 @@ std::vector<Result<SearchProbe>> Session::SearchMany(
         return job;
       },
       [this](const std::vector<exec::SearchJob>& jobs) {
-        return exec::RunSearches(*active_->context, jobs, pool());
+        return exec::RunSearches(*context_, jobs, pool());
       },
       [](ModifyFdsResult out, const exec::SearchJob& job) -> Result<SearchProbe> {
         SearchProbe probe;
@@ -748,7 +560,7 @@ Result<MultiRepairResult> Session::EnumerateRepairs(int64_t tau_lo,
   try {
     ModifyFdsOptions opts;
     opts.heuristic = opts_.heuristic;
-    return FindRepairsFds(*active_->context, tau_lo, tau_hi, opts);
+    return FindRepairsFds(*context_, tau_lo, tau_hi, opts);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
   }
@@ -766,41 +578,16 @@ int Session::NumTuples() const {
 
 int64_t Session::RootDeltaP() const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return RootDeltaPLocked();
+  return root_delta_p_;
 }
 
-const FDSet& Session::fds() const { return active_->sigma; }
-
-const FdSearchContext& Session::context() const { return *active_->context; }
-
-const WeightFunction& Session::weights() const { return *active_->weights; }
-
-uint64_t Session::ContextFingerprint() const {
+size_t Session::BytesEstimate() const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return active_fingerprint_;
-}
-
-ContextCacheStats Session::CachedContexts() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  ContextCacheStats stats;
-  for (const auto& [fp, bucket] : cache_) {
-    for (const std::shared_ptr<ContextBundle>& bundle : bucket) {
-      CachedContextInfo info;
-      info.fingerprint = fp;
-      info.active = bundle.get() == active_.get();
-      info.hits = bundle->hits;
-      info.age = use_clock_ - bundle->last_used;
-      info.edges = bundle->edges;
-      info.bytes_estimate = bundle->bytes;
-      stats.bytes_estimate += bundle->bytes;
-      stats.contexts.push_back(info);
-      ++stats.cached;
-    }
-  }
-  stats.hits = cache_hits_;
-  stats.misses = cache_misses_;
-  stats.evictions = cache_evictions_;
-  return stats;
+  // 24 bytes/cell covers the encoded code plus the decoded value for
+  // typical data.
+  const size_t cells = static_cast<size_t>(encoded_->NumTuples()) *
+                       static_cast<size_t>(encoded_->NumAttrs());
+  return context_bytes_ + cells * 24;
 }
 
 }  // namespace retrust

@@ -3,11 +3,10 @@
 // Algorithm 1 is a service-shaped computation: one τ-independent context
 // (conflict graph, difference-set index, violation table, cover memo)
 // answers many (τ, options) repair requests. A Session owns that shape so
-// callers do not wire it by hand: it holds the dataset and Σ, builds the
-// FdSearchContext lazily per (Σ, weights, heuristic, exec) fingerprint, and
-// keeps every context it ever built in a cache — switching Σ back and forth
-// (SetFds) reuses the warm violation table and cover memo exactly like the
-// τ jobs of one exec::RunRepairs batch do.
+// callers do not wire it by hand: it holds ONE (Σ, I) pair — the dataset
+// and the Σ and weight model it was opened or restored with — and the one
+// FdSearchContext built over it. The paper's relative-trust workflow fixes
+// (Σ, I) and varies τ; a caller that wants another Σ opens another Session.
 //
 // All failures surface through the Status/Result<T> model (status.h); the
 // facade translates internal exceptions and optionals at the boundary, so
@@ -20,22 +19,19 @@
 // Thread safety: const methods (Repair, RepairMany, Search, ...) are safe
 // to call concurrently. A session schedules on exactly one long-lived pool
 // (SessionOptions::shared_pool, or its own): batched requests fan out on
-// it and Apply() patches contexts on it; single requests run inline on
+// it and Apply() patches the context on it; single requests run inline on
 // the caller's thread. Apply() may ALSO run concurrently with the const
 // request methods: requests take a shared snapshot lock and a delta takes
 // it exclusively, so every request observes either the whole pre-delta or
 // the whole post-delta state, never a mix (the sweep runners' version
-// check double-checks this). The remaining mutating methods
-// (SetFds, SetWeights) require external exclusion against everything
-// else, like any C++ object.
+// check double-checks this). EnableJournal and ReplayJournal take the
+// same lock.
 
 #ifndef RETRUST_API_SESSION_H_
 #define RETRUST_API_SESSION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -55,7 +51,7 @@ namespace retrust {
 /// Which w(Y) weighting the session's distc uses (weights.h).
 enum class WeightModel { kDistinctCount, kCardinality, kEntropy };
 
-/// Session-wide configuration, part of the context-cache fingerprint.
+/// Session-wide configuration.
 struct SessionOptions {
   WeightModel weights = WeightModel::kDistinctCount;
   HeuristicOptions heuristic;
@@ -63,51 +59,16 @@ struct SessionOptions {
   /// batched requests (RepairMany/SearchMany) and Apply() run on. Results
   /// are bit-identical for any thread count (DESIGN.md).
   exec::Options exec;
-  /// Upper bound on cached FdSearchContexts (0 = unbounded). When SetFds/
-  /// SetWeights would push the cache past the bound, the least-recently
-  /// used non-active context is evicted (size+age LRU); revisiting an
-  /// evicted fingerprint rebuilds it. Not part of the context fingerprint.
-  size_t max_cached_contexts = 0;
-  /// Byte-accurate companion bound (0 = unbounded): each cached context is
-  /// weighed by its difference-set EDGE COUNT (edge storage dominates a
-  /// context's footprint) instead of counting 1, and LRU eviction runs
-  /// until the estimated total fits. Both bounds may be set; the active
-  /// context is always exempt. Not part of the context fingerprint.
-  size_t max_cached_bytes = 0;
   /// Optional externally-owned pool (nullable) the session's batches and
   /// Apply() schedule on instead of its own pool of `exec` threads — a
   /// process holding many sessions (one per tenant, src/service/) shares
-  /// ONE pool across all of them. Must outlive the session. Not part of
-  /// the context fingerprint.
+  /// ONE pool across all of them. Must outlive the session.
   exec::ThreadPool* shared_pool = nullptr;
-};
-
-/// One row of ContextCacheStats::contexts: per-context observability, so a
-/// server's per-tenant stats can report WHAT is warm, not just how much.
-struct CachedContextInfo {
-  uint64_t fingerprint = 0;   ///< the (Σ, weights, heuristic, exec) key
-  bool active = false;        ///< the session's live context (never evicted)
-  uint64_t hits = 0;          ///< times BundleFor returned this context
-  /// LRU age in use-clock ticks (0 = touched most recently); grows by one
-  /// per context switch, so it is deterministic, unlike wall-clock.
-  uint64_t age = 0;
-  int64_t edges = 0;          ///< conflict edges in the difference-set index
-  size_t bytes_estimate = 0;  ///< edge-weighted memory estimate
-};
-
-/// Observable context-cache behavior (tests and ops dashboards).
-struct ContextCacheStats {
-  size_t cached = 0;      ///< contexts currently held
-  uint64_t hits = 0;      ///< BundleFor answered from the cache
-  uint64_t misses = 0;    ///< contexts built
-  uint64_t evictions = 0; ///< contexts dropped by the LRU bounds
-  size_t bytes_estimate = 0;  ///< total estimate over cached contexts
-  std::vector<CachedContextInfo> contexts;  ///< one row per cached context
 };
 
 /// What one Session::Apply did — the delta's blast radius vs what stayed
 /// warm. `reuse_ratio` close to 1 is the incremental engine's win: the
-/// fraction of the contexts' difference-set groups that survived the delta
+/// fraction of the context's difference-set groups that survived the delta
 /// untouched (their incidence rows and cached covers were carried over).
 struct ApplyStats {
   int tuples_inserted = 0;
@@ -115,9 +76,8 @@ struct ApplyStats {
   int tuples_deleted = 0;
   int num_tuples = 0;       ///< post-delta cardinality
   uint64_t data_version = 0;  ///< post-delta Session::DataVersion()
-  int contexts_patched = 0;   ///< cached contexts delta-maintained in place
-  int64_t edges_removed = 0;  ///< conflict edges dropped across contexts
-  int64_t edges_added = 0;    ///< conflict edges discovered across contexts
+  int64_t edges_removed = 0;  ///< conflict edges dropped by the delta
+  int64_t edges_added = 0;    ///< conflict edges the delta discovered
   int groups_preserved = 0;   ///< diff-set groups carried over untouched
   int groups_changed = 0;     ///< diff-set groups rebuilt or new
   size_t covers_kept = 0;     ///< memoized covers remapped and kept warm
@@ -235,7 +195,7 @@ class Session {
   static Result<Session> OpenSnapshot(const std::string& path,
                                       SessionOptions opts = {});
 
-  /// Saves the live dataset plus the ACTIVE context's warm state to
+  /// Saves the live dataset plus the context's warm state to
   /// `path`. Safe against concurrent const requests (takes the snapshot
   /// lock shared — a concurrent Apply is excluded, so the file is a
   /// consistent cut at one DataVersion()).
@@ -264,33 +224,25 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Switches the active Σ (validated like Open). A fingerprint seen
-  /// before — including the one Open built — reuses its cached context,
-  /// warm cover memo included.
-  Status SetFds(FDSet sigma);
-  Status SetFds(const std::vector<std::string>& fd_texts);
-
-  /// Switches the weight model (same context-cache semantics as SetFds).
-  Status SetWeights(WeightModel weights);
-
   /// Applies a batch of tuple inserts/updates/deletes to the live dataset
-  /// and delta-maintains EVERY cached context in place: the difference-set
-  /// index only re-examines pairs with a mutated endpoint (O(Δ·n) instead
-  /// of the O(n²) rebuild), preserved groups keep their violation-table
-  /// rows and their memoized covers, and each context's version is bumped.
-  /// A repair issued right after an Apply therefore reuses everything
-  /// outside the delta's blast radius.
+  /// and delta-maintains the context in place: the difference-set index
+  /// only re-examines pairs with a mutated endpoint (O(Δ·n) instead of the
+  /// O(n²) rebuild), preserved groups keep their violation-table rows and
+  /// their memoized covers, and the context's version is bumped. A repair
+  /// issued right after an Apply therefore reuses everything outside the
+  /// delta's blast radius; should the patch itself fail, the context is
+  /// rebuilt from scratch over the mutated data instead.
   /// Post-delta answers are bit-identical to a session freshly opened over
   /// the mutated data. Safe to call concurrently with the const request
   /// methods (it takes the snapshot lock exclusively; in-flight requests
-  /// drain first); needs external exclusion only against SetFds/
-  /// SetWeights. kInvalidArgument on out-of-range ids, duplicate deletes,
-  /// or arity mismatches — validation happens before anything mutates.
+  /// drain first). kInvalidArgument on out-of-range ids, duplicate
+  /// deletes, or arity mismatches — validation happens before anything
+  /// mutates.
   Result<ApplyStats> Apply(const DeltaBatch& delta);
 
   /// Monotone dataset version: bumped by every non-empty successful
-  /// Apply(). Contexts cached by SetFds always reflect the live version.
-  /// Safe against a concurrent Apply (reads under the snapshot lock).
+  /// Apply(). Safe against a concurrent Apply (reads under the snapshot
+  /// lock).
   uint64_t DataVersion() const;
 
   /// Live cardinality, safe against a concurrent Apply (reads under the
@@ -322,7 +274,7 @@ class Session {
   Result<MultiRepairResult> EnumerateRepairs(int64_t tau_lo,
                                              int64_t tau_hi) const;
 
-  /// δP(Σ, I) of the active Σ — the root bound; τr = 1 resolves to this.
+  /// δP(Σ, I) — the root bound; τr = 1 resolves to this.
   /// Safe against a concurrent Apply (reads under the snapshot lock).
   int64_t RootDeltaP() const;
 
@@ -330,87 +282,46 @@ class Session {
   /// session's lifetime, but the pointed-to state is delta-maintained IN
   /// PLACE by Apply() — reading through them concurrently with an Apply
   /// is not synchronized. The value-returning observers (DataVersion,
-  /// RootDeltaP, ContextFingerprint, CachedContexts) and the request
-  /// methods are the Apply-concurrency-safe surface.
+  /// NumTuples, RootDeltaP, BytesEstimate) and the request methods are the
+  /// Apply-concurrency-safe surface.
   const Instance& instance() const { return *instance_; }
   const Schema& schema() const { return instance_->schema(); }
-  const FDSet& fds() const;
+  const FDSet& fds() const { return context_->sigma(); }
   const SessionOptions& options() const { return opts_; }
 
-  /// Fingerprint of the active (Σ, weights, heuristic, exec) context and
-  /// the cache's observable behavior (current size, hits, misses,
-  /// evictions) for tests and ops dashboards. Both are safe against a
-  /// concurrent Apply.
-  uint64_t ContextFingerprint() const;
-  ContextCacheStats CachedContexts() const;
+  /// Coarse resident-memory estimate: the context's edge-weighted bytes
+  /// plus the dataset cells (encoded codes + decoded values). Precision is
+  /// not the point — a tenant byte budget only needs relative ordering
+  /// between big and small sessions. Safe against a concurrent Apply.
+  size_t BytesEstimate() const;
 
   /// Internal-layer escape hatches for the eval/ harness and benchmarks:
-  /// the encoded dataset, the active search context, and its weights.
+  /// the encoded dataset, the search context, and its weights.
   /// Everything reachable from here is const and thread-safe against
   /// other const calls (NOT against Apply — see above), and the types
   /// are NOT part of the stable facade surface.
   const EncodedInstance& data() const { return *encoded_; }
-  const FdSearchContext& context() const;
-  const WeightFunction& weights() const;
+  const FdSearchContext& context() const { return *context_; }
+  const WeightFunction& weights() const { return *weights_; }
 
  private:
-  /// One cached context: Σ plus everything derived from it. The weight
-  /// function is shared across bundles of the same model (its memo is
-  /// instance-wide).
-  struct ContextBundle {
-    FDSet sigma;
-    const WeightFunction* weights = nullptr;  ///< owned by weight_cache_
-    std::unique_ptr<FdSearchContext> context;
-    int64_t root_delta_p = 0;
-    uint64_t last_used = 0;  ///< LRU ordinal (session use_clock_)
-    uint64_t hits = 0;       ///< BundleFor cache hits on this bundle
-    int64_t edges = 0;       ///< difference-set edge count (sizing weight)
-    size_t bytes = 0;        ///< edge-weighted estimate; kept fresh by Apply
-
-    /// Recomputes root_delta_p, edges and bytes from `context` — after a
-    /// build, a restore, or an Apply patch.
-    void SyncDerived();
-  };
-
-  Session(Instance data, SessionOptions opts);
-  /// Restore path (OpenSnapshot): adopts a saved EncodedInstance directly
-  /// instead of re-encoding `data` — re-encoding would reset the
-  /// fresh-variable counters, breaking bit-identical variable allocation
-  /// in post-restore repairs.
+  /// Takes ownership of an encoded dataset; Open encodes `data` first and
+  /// OpenSnapshot hands over the saved encoding directly — re-encoding
+  /// would reset the fresh-variable counters, breaking bit-identical
+  /// variable allocation in post-restore repairs. Builds no context.
   Session(Instance data, EncodedInstance encoded, SessionOptions opts);
 
-  /// Installs a restored context as the active bundle (OpenSnapshot's
-  /// counterpart of BundleFor): validates Σ and self-checks the restored
-  /// root δP against the snapshot's (mismatch → kIoError, the file lied
-  /// about its own content).
-  Status AdoptContext(FDSet sigma, DifferenceSetIndex index,
-                      DeltaPEvaluator::WarmState warm,
-                      int64_t expected_root_delta_p);
-
-  Status Validate(const FDSet& sigma) const;
-  const WeightFunction& WeightFor(WeightModel model);
-  /// RootDeltaP for callers already holding the snapshot lock (request
-  /// methods; shared_mutex is non-recursive, so they must not re-lock).
-  int64_t RootDeltaPLocked() const { return active_->root_delta_p; }
-  /// Returns the cached bundle for (sigma, opts_) or builds and caches it,
-  /// touching its LRU slot.
-  std::shared_ptr<ContextBundle> BundleFor(FDSet sigma);
-  /// The one bundle constructor behind BundleFor and AdoptContext: wraps
-  /// `context`, fills the derived fields and takes the next LRU slot.
-  /// Caller holds mu_.
-  std::shared_ptr<ContextBundle> MakeBundle(
-      FDSet sigma, const WeightFunction* weights,
-      std::unique_ptr<FdSearchContext> context);
+  /// Builds the context for `sigma` over the live dataset from scratch
+  /// (Open, and Apply's fallback when a patch fails).
+  void BuildContext(const FDSet& sigma);
+  /// Recomputes the fields derived from context_ (root δP, byte estimate)
+  /// after a build, a restore or an Apply patch.
+  void SyncDerived();
   /// The pool batches and Apply run on: the shared one when provided,
   /// else the session's own (null = serial inline execution).
   exec::ThreadPool* pool() const {
     return opts_.shared_pool != nullptr ? opts_.shared_pool : own_pool_.get();
   }
-  /// Drops least-recently-used bundles (never the active one) until the
-  /// cache respects max_cached_contexts AND the edge-weighted
-  /// max_cached_bytes bound. Runs after every active-context switch;
-  /// evicted fingerprints rebuild on their next use.
-  void EvictIfNeeded();
   Result<int64_t> ResolveTau(const RepairRequest& req) const;
   ModifyFdsOptions SearchOptions(const RepairRequest& req) const;
 
@@ -425,36 +336,26 @@ class Session {
                                          SlotOutcome slot) const;
 
   std::unique_ptr<Instance> instance_;        ///< heap-pinned: encoded_ is
-  std::unique_ptr<EncodedInstance> encoded_;  ///< referenced by weights
-  SessionOptions opts_;
-  std::map<int, std::unique_ptr<WeightFunction>> weight_cache_;
-  uint64_t active_fingerprint_ = 0;
-  std::shared_ptr<ContextBundle> active_;
-  /// Guards cache_ and the LRU/hit counters (BundleFor may be reached
-  /// from const batched paths in future extensions); heap-pinned so
-  /// Session stays movable.
-  std::unique_ptr<std::mutex> mu_;
+  std::unique_ptr<EncodedInstance> encoded_;  ///< referenced by weights_ and
+  SessionOptions opts_;                       ///< context_
+  /// The one weight function, built from opts_.weights over *encoded_.
+  std::unique_ptr<WeightFunction> weights_;
+  std::unique_ptr<FdSearchContext> context_;
+  int64_t root_delta_p_ = 0;   ///< context_->RootDeltaP(), kept fresh
+  size_t context_bytes_ = 0;   ///< edge-weighted estimate, kept fresh
   /// Snapshot lock: request methods hold it shared for their whole run,
   /// Apply holds it exclusively while mutating the instance and patching
-  /// contexts — so a delta can never interleave with a request.
+  /// the context — so a delta can never interleave with a request.
+  /// Heap-pinned so Session stays movable.
   std::unique_ptr<std::shared_mutex> state_mu_;
-  /// Buckets keyed by the raw fingerprint; entries within a bucket are
-  /// disambiguated by Σ/weights equality, so erasing any entry (LRU
-  /// eviction) can never orphan another.
-  std::map<uint64_t, std::vector<std::shared_ptr<ContextBundle>>> cache_;
   /// The session's own pool, created at construction unless
   /// opts_.shared_pool is set (null when serial). Batches and Apply —
-  /// which the snapshot lock keeps apart — share it, so a session holds
-  /// one set of workers however many contexts it caches.
+  /// which the snapshot lock keeps apart — share it.
   std::unique_ptr<exec::ThreadPool> own_pool_;
   /// Write-ahead delta journal (EnableJournal); Apply logs each batch
   /// before mutating. Guarded by the exclusive snapshot lock.
   std::unique_ptr<persist::JournalWriter> journal_;
   uint64_t data_version_ = 1;
-  uint64_t use_clock_ = 0;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
-  uint64_t cache_evictions_ = 0;
 };
 
 }  // namespace retrust

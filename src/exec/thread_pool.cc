@@ -35,8 +35,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-bool ThreadPool::OnWorkerThread() { return t_worker_pool != nullptr; }
-
 const ThreadPool* ThreadPool::CurrentWorkerPool() { return t_worker_pool; }
 
 void ThreadPool::WorkerLoop() {

@@ -49,9 +49,6 @@ class ThreadPool {
   /// Enqueues a task. Prefer TaskGroup/ParallelFor over raw Submit.
   void Submit(std::function<void()> task);
 
-  /// True when the calling thread is one of this process's pool workers.
-  static bool OnWorkerThread();
-
   /// The pool whose worker the calling thread is (nullptr off-pool).
   /// ParallelFor and TaskGroup inline a nested parallel section only when
   /// it targets the SAME pool the caller is a worker of — that nesting

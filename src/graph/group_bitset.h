@@ -48,13 +48,6 @@ class GroupBitset {
     return c;
   }
 
-  bool Any() const {
-    for (uint64_t w : words_) {
-      if (w != 0) return true;
-    }
-    return false;
-  }
-
   /// Number of set bits with index < i.
   int CountBefore(int i) const {
     if (i > num_bits_) i = num_bits_;

@@ -22,8 +22,8 @@ std::vector<int32_t> GreedyVertexCover(const Graph& g);
 
 /// Same, but over a raw edge list (callers union edge groups without
 /// materializing a Graph). `scratch` marks covered vertices; it must be
-/// sized >= max vertex id + 1 (EnsureVertices) and is reset before use via
-/// the epoch trick. One instance serves one thread at a time. The hot
+/// constructed with num_vertices >= max vertex id + 1 and is reset before
+/// use via the epoch trick. One instance serves one thread at a time. The hot
 /// search paths now go through CoverMemo (cover_memo.h), which owns pooled
 /// epoch-marked scratch of its own; this class remains the primitive for
 /// one-shot covers and the legacy/oracle paths.
@@ -31,14 +31,6 @@ class MatchingCoverScratch {
  public:
   explicit MatchingCoverScratch(int32_t num_vertices)
       : mark_(num_vertices, 0) {}
-
-  /// Grows the mark array to cover vertex ids < `num_vertices`. Never
-  /// shrinks; existing epoch marks stay valid.
-  void EnsureVertices(int32_t num_vertices) {
-    if (static_cast<size_t>(num_vertices) > mark_.size()) {
-      mark_.resize(static_cast<size_t>(num_vertices), 0);
-    }
-  }
 
   /// Size of a maximal-matching cover of `edges` (2-approx of minimum).
   int32_t CoverSize(const std::vector<Edge>& edges);

@@ -1,5 +1,6 @@
 #include "src/persist/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -293,6 +294,13 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     for (int32_t& counter : next_var) counter = r.I32();
     data.instance_next_var.resize(m);
     for (int32_t& counter : data.instance_next_var) counter = r.I32();
+    // Fresh-variable counters are next indices: a negative one would make
+    // the next "variable" code a constant code.
+    auto negative = [](int32_t counter) { return counter < 0; };
+    if (std::ranges::any_of(next_var, negative) ||
+        std::ranges::any_of(data.instance_next_var, negative)) {
+      return IoError("snapshot '" + path + "' has a negative variable counter");
+    }
     data.encoded =
         EncodedInstance::Restore(std::move(schema), static_cast<int>(n),
                                  std::move(columns), std::move(dicts),
@@ -313,6 +321,10 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     if (!PlausibleCount(num_groups, r)) {
       return IoError("snapshot '" + path + "' has an implausible index");
     }
+    // Past this point the payload names tuples, FDs and groups by index.
+    // A CRC only detects accidents, so every index is range-checked
+    // against what was already decoded before anything dereferences it.
+    const int64_t num_tuples = n;
     std::vector<DiffSetGroup> groups(num_groups);
     for (DiffSetGroup& g : groups) {
       g.diff = AttrSet(r.U64());
@@ -326,14 +338,29 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
       for (Edge& e : g.edges) {
         e.u = r.I32();
         e.v = r.I32();
+        if (e.u < 0 || e.u >= e.v || e.v >= num_tuples) {
+          return IoError("snapshot '" + path + "' has an out-of-range edge");
+        }
       }
     }
     data.index = DifferenceSetIndex(std::move(groups));
 
+    // A table row is an FD mask: bit i set = FD i of Σ is violated.
+    const uint64_t fd_bits =
+        num_fds == 64 ? ~uint64_t{0} : (uint64_t{1} << num_fds) - 1;
     data.warm.table_rows.resize(num_groups);
-    for (uint64_t& row : data.warm.table_rows) row = r.U64();
+    for (uint64_t& row : data.warm.table_rows) {
+      row = r.U64();
+      if ((row & ~fd_bits) != 0) {
+        return IoError("snapshot '" + path + "' has an out-of-range FD mask");
+      }
+    }
 
     const size_t words_per_key = (static_cast<size_t>(num_groups) + 63) / 64;
+    // Valid bits of a key's last word (group ids < num_groups).
+    const uint64_t tail_bits = num_groups % 64 == 0
+                                   ? ~uint64_t{0}
+                                   : (uint64_t{1} << (num_groups % 64)) - 1;
     const uint64_t num_set = r.U64();
     if (!PlausibleCount(num_set, r)) {
       return IoError("snapshot '" + path + "' has an implausible cover memo");
@@ -343,6 +370,10 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
       GroupBitset key(static_cast<int>(num_groups));
       for (size_t word = 0; word < words_per_key; ++word) {
         uint64_t bits = r.U64();
+        if (word + 1 == words_per_key && (bits & ~tail_bits) != 0) {
+          return IoError("snapshot '" + path +
+                         "' has an out-of-range cover key");
+        }
         while (bits != 0) {
           key.Set(static_cast<int>(word * 64) + std::countr_zero(bits));
           bits &= bits - 1;
@@ -362,7 +393,13 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
         return IoError("snapshot '" + path + "' has an implausible cover key");
       }
       std::vector<int32_t> seq(static_cast<size_t>(len));
-      for (int32_t& g : seq) g = r.I32();
+      for (int32_t& g : seq) {
+        g = r.I32();
+        if (g < 0 || static_cast<uint32_t>(g) >= num_groups) {
+          return IoError("snapshot '" + path +
+                         "' has an out-of-range cover key");
+        }
+      }
       const int32_t value = r.I32();
       data.warm.covers.seq_entries.emplace_back(std::move(seq), value);
     }
@@ -372,9 +409,6 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
   if (!r.ok() || r.remaining() != 0) {
     return IoError("snapshot '" + path + "' payload has the wrong length");
   }
-  // A key's bits beyond the group count would be invisible to the Set loop
-  // above only if the file claimed them; Set() already asserts in debug,
-  // and a corrupted high bit surfaces through the CRC in practice.
   return data;
 }
 

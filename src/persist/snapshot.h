@@ -26,10 +26,10 @@
 // Session::OpenSnapshot compares it against the caller's configuration
 // (mismatch → kSchemaMismatch).
 //
-// The fingerprint deliberately excludes the thread count (unlike the
-// Session context-cache key): a snapshot saved on an 8-core box must open
-// on a 1-core box — bit-identity across thread counts is a library-wide
-// invariant, so the thread count is an execution detail, not identity.
+// The fingerprint deliberately excludes the thread count: a snapshot saved
+// on an 8-core box must open on a 1-core box — bit-identity across thread
+// counts is a library-wide invariant, so the thread count is an execution
+// detail, not identity.
 
 #ifndef RETRUST_PERSIST_SNAPSHOT_H_
 #define RETRUST_PERSIST_SNAPSHOT_H_
@@ -104,8 +104,10 @@ struct SnapshotData {
 Status WriteSnapshotFile(const std::string& path, const SnapshotView& view);
 
 /// Reads and validates a snapshot. kIoError for unreadable, truncated,
-/// bit-flipped, or internally inconsistent files; kVersionMismatch for a
-/// format version this build does not speak.
+/// bit-flipped, or internally inconsistent files — including tuple, FD
+/// and group ids out of range, which a crafted file can carry behind a
+/// valid checksum; kVersionMismatch for a format version this build does
+/// not speak.
 Result<SnapshotData> ReadSnapshotFile(const std::string& path);
 
 }  // namespace retrust::persist

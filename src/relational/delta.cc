@@ -1,10 +1,27 @@
 #include "src/relational/delta.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace retrust {
+
+namespace {
+
+/// A variable's index must leave its successor representable: encoding
+/// maps index i to code -(i + 1) and bumps the fresh-variable counter to
+/// i + 1.
+void CheckVariableIndex(const Value& v) {
+  if (!v.is_variable()) return;
+  const int32_t index = v.AsVariable().index;
+  if (index < 0 || index == std::numeric_limits<int32_t>::max()) {
+    throw std::invalid_argument("delta variable index " +
+                                std::to_string(index) + " out of range");
+  }
+}
+
+}  // namespace
 
 DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs) {
   DeltaPlan plan;
@@ -17,6 +34,7 @@ DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs) {
           " does not match the " + std::to_string(num_attrs) +
           "-attribute schema");
     }
+    for (const Value& v : t) CheckVariableIndex(v);
   }
   for (const CellUpdate& u : delta.updates) {
     if (u.tuple < 0 || u.tuple >= num_tuples) {
@@ -27,6 +45,7 @@ DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs) {
       throw std::invalid_argument("delta update attribute " +
                                   std::to_string(u.attr) + " out of range");
     }
+    CheckVariableIndex(u.value);
   }
   std::vector<TupleId> dels = delta.deletes;
   std::sort(dels.begin(), dels.end(), std::greater<TupleId>());

@@ -19,6 +19,9 @@
 #define RETRUST_RELATIONAL_DICTIONARY_H_
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -88,7 +91,15 @@ class EncodedInstance {
   int32_t SetFreshVariable(TupleId t, AttrId a);
 
   /// Returns a fresh variable code for attribute `a` without assigning it.
-  int32_t NewVariableCode(AttrId a) { return VariableCode(next_var_[a]++); }
+  /// Throws std::overflow_error once the attribute's 2^31 - 1 variable
+  /// ids are spent.
+  int32_t NewVariableCode(AttrId a) {
+    if (next_var_[a] == std::numeric_limits<int32_t>::max()) {
+      throw std::overflow_error("fresh-variable ids exhausted for attribute " +
+                                std::to_string(a));
+    }
+    return VariableCode(next_var_[a]++);
+  }
 
   /// One attribute's column of cell codes, indexed by TupleId — the
   /// streaming surface of the blocked build and of src/persist/.

@@ -10,12 +10,12 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                  const EncodedInstance& inst,
                                  const WeightFunction& weights,
                                  const HeuristicOptions& hopts,
-                                 const exec::Options& eopts,
-                                 DiffSetBuildMode mode)
+                                 const exec::Options& eopts)
     : sigma_(sigma),
       num_tuples_(inst.NumTuples()),
       space_(sigma, inst.schema()),
-      index_(BuildDifferenceSetIndex(inst, sigma, eopts, mode,
+      index_(BuildDifferenceSetIndex(inst, sigma, eopts,
+                                     DiffSetBuildMode::kBlocked,
                                      &build_stats_)),
       evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
                                                    inst.NumTuples(), eopts)),

@@ -119,17 +119,14 @@ struct ModifyFdsResult {
 class FdSearchContext {
  public:
   /// `eopts` shards the difference-set and violation-table construction
-  /// (identical output for any thread count). `mode` selects the
-  /// difference-set builder: kBlocked (default, sub-quadratic when classes
-  /// are small) or kNaive (the legacy conflict-graph pair scan, kept as an
-  /// oracle) — both produce BIT-IDENTICAL indexes. The context keeps a
+  /// (identical output for any thread count); the index comes from the
+  /// blocked builder (BuildDifferenceSetIndex). The context keeps a
   /// pointer to `inst` (for lazy materialization of counted groups), so
   /// `inst` must outlive the context — already required by ApplyDelta.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts = {},
-                  const exec::Options& eopts = {},
-                  DiffSetBuildMode mode = DiffSetBuildMode::kBlocked);
+                  const exec::Options& eopts = {});
 
   /// Restore construction (src/persist/): adopts a pre-built difference-set
   /// index and the evaluator's warm caches instead of paying the O(n²)
@@ -171,9 +168,8 @@ class FdSearchContext {
                          const std::vector<TupleId>& remap,
                          const exec::Options& eopts = {});
 
-  /// Same on an existing pool (nullable = serial) — lets one Apply reuse
-  /// one pool across many cached contexts instead of spawning a pool per
-  /// context (Session::Apply's loop).
+  /// Same on an existing pool (nullable = serial) — Session::Apply patches
+  /// on the session's long-lived pool instead of spawning one per delta.
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,

@@ -409,34 +409,20 @@ void Server::CollectMetrics(obs::Collector& out) const {
                       agg.visited.load(std::memory_order_relaxed));
   }
 
-  // Session layer: context caches summed across loaded tenants (StatsFor
-  // never forces a lazy open).
-  uint64_t cache_hits = 0, cache_misses = 0, cache_evictions = 0;
-  size_t cache_entries = 0, cache_bytes = 0;
+  // Session layer: loaded tenants and their resident-byte estimate (the
+  // registry's byte-budget total; StatsFor never forces a lazy open).
   int registered = 0, loaded = 0;
   for (const std::string& name : tenants_.Names()) {
     Result<TenantStats> tenant = tenants_.StatsFor(name);
     if (!tenant.ok()) continue;
     ++registered;
-    if (!tenant->loaded) continue;
-    ++loaded;
-    cache_hits += tenant->cache.hits;
-    cache_misses += tenant->cache.misses;
-    cache_evictions += tenant->cache.evictions;
-    cache_entries += tenant->cache.cached;
-    cache_bytes += tenant->cache.bytes_estimate;
+    if (tenant->loaded) ++loaded;
   }
   out.Gauge("retrust_tenants_registered", {},
             static_cast<double>(registered));
   out.Gauge("retrust_tenants_loaded", {}, static_cast<double>(loaded));
-  out.CounterSample("retrust_context_cache_hits_total", {}, cache_hits);
-  out.CounterSample("retrust_context_cache_misses_total", {}, cache_misses);
-  out.CounterSample("retrust_context_cache_evictions_total", {},
-                    cache_evictions);
-  out.Gauge("retrust_context_cache_entries", {},
-            static_cast<double>(cache_entries));
-  out.Gauge("retrust_context_cache_bytes_estimate", {},
-            static_cast<double>(cache_bytes));
+  out.Gauge("retrust_loaded_tenant_bytes", {},
+            static_cast<double>(tenants_.LoadedBytes()));
 
   // Flight recorder / slow log (non-null whenever this probe exists).
   out.CounterSample("retrust_flight_records_total", {},
@@ -640,13 +626,6 @@ Submitted<Result<ApplyStats>> Client::Apply(const std::string& tenant,
                                             DeltaBatch delta) {
   auto [out, done] = PromisedDone<Result<ApplyStats>>();
   out.id = ApplyAsync(tenant, std::move(delta), std::move(done));
-  return std::move(out);
-}
-
-Submitted<Result<std::string>> Client::SaveSnapshot(const std::string& tenant,
-                                                    std::string path) {
-  auto [out, done] = PromisedDone<Result<std::string>>();
-  out.id = SaveSnapshotAsync(tenant, std::move(path), std::move(done));
   return std::move(out);
 }
 

@@ -2,8 +2,9 @@
 // many datasets, one admission-controlled request queue.
 //
 // The Beskales et al. repair model is request-shaped by construction —
-// every (dataset, Σ, τ) query is independent work over a cached context —
-// so the service layer is mostly traffic engineering:
+// each tenant's Session holds one (Σ, I) context, and every τ query over
+// it is independent work — so the service layer is mostly traffic
+// engineering:
 //
 //   Client verbs ──▶ AdmissionController ──▶ RequestQueue ──▶ worker pool
 //                     (shed or reject)        (fair lanes)     (exec::ThreadPool)
@@ -144,13 +145,6 @@ class Client {
   Submitted<Result<ApplyStats>> Apply(const std::string& tenant,
                                       DeltaBatch delta);
 
-  /// Saves the tenant's state to `path` (src/persist/ snapshot) as a
-  /// queued WRITE: the per-tenant barrier means the file is a consistent
-  /// cut — everything submitted before it is included, nothing after.
-  /// The snapshot becomes the tenant's reload spec. Replies with the path.
-  Submitted<Result<std::string>> SaveSnapshot(const std::string& tenant,
-                                              std::string path);
-
   // --- async variants ----------------------------------------------------
   // The same verbs completion-callback style: `done` is invoked EXACTLY
   // once with the reply — on a worker thread after execution, or
@@ -276,8 +270,8 @@ class Server {
                          PendingRequest* pending);
 
   /// The metrics probe body: emits one Stats() snapshot plus what it does
-  /// not carry (latency histograms, per-policy search slots, pools, tenant
-  /// context caches, flight recorder) into `out`. Runs under the registry
+  /// not carry (latency histograms, per-policy search slots, pools, loaded
+  /// tenants and their byte estimate, flight recorder) into `out`. Runs under the registry
   /// mutex at exposition time; must never call back into the registry.
   void CollectMetrics(obs::Collector& out) const;
 

@@ -7,21 +7,6 @@
 
 namespace retrust::service {
 
-namespace {
-
-/// Coarse resident-memory estimate of a loaded session: the context
-/// cache's edge-weighted estimate plus the dataset itself (encoded codes +
-/// decoded values; 24 bytes/cell covers both sides for typical data).
-/// Precision is not the point — the budget only needs relative ordering
-/// between big and small tenants.
-size_t EstimateSessionBytes(Session& session) {
-  const size_t cells = static_cast<size_t>(session.NumTuples()) *
-                       static_cast<size_t>(session.schema().NumAttrs());
-  return session.CachedContexts().bytes_estimate + cells * 24;
-}
-
-}  // namespace
-
 SessionOptions TenantRegistry::WithPool(
     std::optional<SessionOptions> opts) const {
   SessionOptions resolved = opts.has_value() ? std::move(*opts) : defaults_;
@@ -53,7 +38,7 @@ Status TenantRegistry::Add(const std::string& name, Instance data,
   it->second.session = std::make_shared<Session>(std::move(*session));
   it->second.spec_version = it->second.session->DataVersion();
   it->second.last_used = ++use_clock_;
-  it->second.bytes = EstimateSessionBytes(*it->second.session);
+  it->second.bytes = it->second.session->BytesEstimate();
   return Status::Ok();
 }
 
@@ -113,7 +98,7 @@ Result<std::shared_ptr<Session>> TenantRegistry::OpenFromSpec(Tenant* tenant) {
   tenant->session = shared;
   tenant->spec_version = shared->DataVersion();
   tenant->last_used = ++use_clock_;
-  tenant->bytes = EstimateSessionBytes(*shared);
+  tenant->bytes = shared->BytesEstimate();
   return shared;
 }
 
@@ -305,7 +290,7 @@ Result<TenantStats> TenantRegistry::StatsFor(const std::string& name) const {
     stats.data_version = session->DataVersion();
     stats.root_delta_p = session->RootDeltaP();
     stats.num_tuples = session->NumTuples();
-    stats.cache = session->CachedContexts();
+    stats.bytes_estimate = session->BytesEstimate();
   }
   return stats;
 }

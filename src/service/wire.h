@@ -81,9 +81,6 @@ class Json {
 
   bool AsBool() const { return bool_; }
   double AsNumber() const { return number_; }
-  /// Unchecked truncation for trusted numbers; request decoders read
-  /// integers through WireInt instead.
-  int64_t AsInt() const { return static_cast<int64_t>(number_); }
   const std::string& AsString() const { return string_; }
   const Array& AsArray() const { return array_; }
   const Object& AsObject() const { return object_; }

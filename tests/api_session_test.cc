@@ -1,7 +1,6 @@
 // retrust::Session — the public facade: open/validation errors, the oracle
-// equivalence against the internal RepairDataAndFds layer, context-cache
-// reuse across SetFds switches, batched requests, budgets, and cooperative
-// cancellation.
+// equivalence against the internal RepairDataAndFds layer, batched
+// requests, budgets, and cooperative cancellation.
 
 #include <atomic>
 #include <chrono>
@@ -84,7 +83,7 @@ TEST(SessionOpen, ParsesFdsAndBuildsContext) {
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->fds().size(), 1);
   EXPECT_GT(session->RootDeltaP(), 0);
-  EXPECT_EQ(session->CachedContexts().cached, 1u);
+  EXPECT_GT(session->BytesEstimate(), 0u);
 }
 
 TEST(SessionOpen, BadFdTextIsInvalidFd) {
@@ -220,72 +219,6 @@ TEST(SessionOracle, RepairMatchesRepairDataAndFds) {
   }
 }
 
-// --- Context caching -----------------------------------------------------
-
-TEST(SessionCache, SameFingerprintReusesContext) {
-  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
-  ASSERT_TRUE(session.ok());
-  const FdSearchContext* first = &session->context();
-  uint64_t fp = session->ContextFingerprint();
-
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  EXPECT_NE(&session->context(), first);
-  EXPECT_NE(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-
-  // Switching back lands on the SAME cached context, not a rebuild.
-  ASSERT_TRUE(session->SetFds({"City->Zip"}).ok());
-  EXPECT_EQ(&session->context(), first);
-  EXPECT_EQ(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-}
-
-TEST(SessionCache, WeightModelIsPartOfTheFingerprint) {
-  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
-  ASSERT_TRUE(session.ok());
-  uint64_t fp = session->ContextFingerprint();
-  ASSERT_TRUE(session->SetWeights(WeightModel::kCardinality).ok());
-  EXPECT_NE(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-  ASSERT_TRUE(session->SetWeights(WeightModel::kDistinctCount).ok());
-  EXPECT_EQ(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-}
-
-// The cached context keeps its warm cover memo across Σ switches: repeated
-// identical searches answer from the memo (vc_memo_hits), and the warmth
-// carries over a SetFds round trip (same fingerprint → same underlying
-// context, per the stats).
-TEST(SessionCache, CoverMemoCarriesOverAcrossSwitches) {
-  OracleData oracle = MakeOracleData(150);
-  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
-  ASSERT_TRUE(session.ok());
-  int64_t tau = TauFromRelative(0.3, session->RootDeltaP());
-
-  Result<SearchProbe> cold = session->Search(RepairRequest::At(tau));
-  ASSERT_TRUE(cold.ok());
-  Result<SearchProbe> warm = session->Search(RepairRequest::At(tau));
-  ASSERT_TRUE(warm.ok());
-  // The warm run answers covers from the memo instead of recomputing.
-  EXPECT_LT(warm->result.stats.vc_computations,
-            cold->result.stats.vc_computations);
-  EXPECT_GT(warm->result.stats.vc_memo_hits, 0);
-
-  // Switch Σ away and back; the third run still sees the warm memo — a
-  // rebuilt context would perform like the cold run again.
-  FDSet other(std::vector<FD>{FD(AttrSet{0}, /*rhs=*/1)});
-  ASSERT_TRUE(session->SetFds(other).ok());
-  ASSERT_TRUE(session->SetFds(oracle.sigma).ok());
-  Result<SearchProbe> back = session->Search(RepairRequest::At(tau));
-  ASSERT_TRUE(back.ok());
-  EXPECT_LE(back->result.stats.vc_computations,
-            warm->result.stats.vc_computations);
-  EXPECT_LT(back->result.stats.vc_computations,
-            cold->result.stats.vc_computations);
-  EXPECT_GE(back->result.stats.vc_memo_hits,
-            warm->result.stats.vc_memo_hits);
-}
-
 // --- Batched requests ----------------------------------------------------
 
 TEST(SessionBatch, RepairManyMatchesSequentialRepairs) {
@@ -399,139 +332,6 @@ TEST(SessionCancel, MidBatchCancellationDrainsCleanly) {
   }
 }
 
-// --- Context-cache eviction (SessionOptions::max_cached_contexts) --------
-
-TEST(SessionEviction, LruBoundEvictsColdestContext) {
-  SessionOptions opts;
-  opts.max_cached_contexts = 2;
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session->CachedContexts().cached, 1u);
-
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-  EXPECT_EQ(session->CachedContexts().evictions, 0u);
-
-  // Third distinct Σ: the coldest ("City->Zip", least recently used)
-  // must make room.
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.misses, 3u);
-
-  // Revisiting the evicted fingerprint is a rebuild, not a hit ...
-  ASSERT_TRUE(session->SetFds({"City->Zip"}).ok());
-  stats = session->CachedContexts();
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.cached, 2u);
-
-  // ... while a still-cached one is a hit ("Name->City" stayed warm).
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  stats = session->CachedContexts();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.cached, 2u);
-}
-
-TEST(SessionEviction, ActiveContextIsNeverEvicted) {
-  SessionOptions opts;
-  opts.max_cached_contexts = 1;
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  for (const char* fd : {"Name->Zip", "Name->City", "City->Zip"}) {
-    ASSERT_TRUE(session->SetFds({fd}).ok());
-    // The freshly activated context survives its own eviction pass and
-    // answers requests.
-    EXPECT_EQ(session->CachedContexts().cached, 1u);
-    EXPECT_GE(session->RootDeltaP(), 0);
-  }
-  EXPECT_EQ(session->CachedContexts().evictions, 3u);
-}
-
-TEST(SessionEviction, UnboundedByDefault) {
-  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 3u);
-  EXPECT_EQ(stats.evictions, 0u);
-}
-
-// --- Byte-accurate cache sizing and per-context observability ------------
-
-TEST(SessionEviction, ByteBoundWeighsContextsByEdgeCount) {
-  SessionOptions opts;
-  opts.max_cached_bytes = 1;  // below any context's estimate
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  // The single (active) context is exempt even over the byte budget.
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 1u);
-  EXPECT_GT(stats.bytes_estimate, 1u);
-
-  // A second Σ activates; the cold context must be evicted to chase the
-  // (unreachable) byte budget.
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-}
-
-TEST(SessionEviction, LargeByteBudgetKeepsEverything) {
-  SessionOptions opts;
-  opts.max_cached_bytes = 64 * 1024 * 1024;
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 3u);
-  EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(SessionCache, PerContextInfoReportsFingerprintAgeAndHits) {
-  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
-  ASSERT_TRUE(session.ok());
-  ContextCacheStats stats = session->CachedContexts();
-  ASSERT_EQ(stats.contexts.size(), 1u);
-  EXPECT_TRUE(stats.contexts[0].active);
-  EXPECT_EQ(stats.contexts[0].fingerprint, session->ContextFingerprint());
-  EXPECT_EQ(stats.contexts[0].hits, 0u);
-  EXPECT_EQ(stats.contexts[0].age, 0u);
-  EXPECT_GT(stats.contexts[0].edges, 0);
-  EXPECT_GT(stats.contexts[0].bytes_estimate, 0u);
-  EXPECT_EQ(stats.bytes_estimate, stats.contexts[0].bytes_estimate);
-
-  // Re-activating the same Σ is a hit on the same context...
-  ASSERT_TRUE(session->SetFds({"City->Zip"}).ok());
-  stats = session->CachedContexts();
-  ASSERT_EQ(stats.contexts.size(), 1u);
-  EXPECT_EQ(stats.contexts[0].hits, 1u);
-
-  // ...and a second Σ leaves the first one colder (positive LRU age),
-  // with the active row tracking the live fingerprint.
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  stats = session->CachedContexts();
-  ASSERT_EQ(stats.contexts.size(), 2u);
-  int active_rows = 0;
-  for (const CachedContextInfo& info : stats.contexts) {
-    if (info.active) {
-      ++active_rows;
-      EXPECT_EQ(info.fingerprint, session->ContextFingerprint());
-      EXPECT_EQ(info.age, 0u);
-    } else {
-      EXPECT_GT(info.age, 0u);
-    }
-  }
-  EXPECT_EQ(active_rows, 1);
-}
-
 // --- Shared pool (service-style multi-session processes) -----------------
 
 TEST(ExecSharedPool, SessionResultsMatchPrivatePool) {
@@ -600,9 +400,9 @@ int SettledThreadCount() {
   return last;
 }
 
-// A session holds ONE pool of exec.num_threads workers however many
-// contexts it caches: batches and Apply share it, and context builds join
-// their short-lived sharding workers before returning.
+// A session holds ONE pool of exec.num_threads workers: batches and Apply
+// share it, and the context build joins its short-lived sharding workers
+// before returning.
 TEST(SessionPool, OnePoolServesEveryContextAndApply) {
   const int before = SettledThreadCount();
   ASSERT_GT(before, 0);
@@ -610,9 +410,6 @@ TEST(SessionPool, OnePoolServesEveryContextAndApply) {
   opts.exec.num_threads = 2;
   Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"}, opts);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  ASSERT_EQ(session->CachedContexts().cached, 3u);
 
   DeltaBatch delta;
   delta.Insert(SmallInstance().row(2));

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <vector>
 
 #include "src/fd/difference_set.h"
+#include "src/fd/violation_table.h"
 #include "src/relational/delta.h"
 #include "src/repair/modify_fds.h"
 #include "src/repair/weights.h"
@@ -93,6 +95,22 @@ void ExpectSameSearch(const ModifyFdsResult& got, const ModifyFdsResult& want) {
   EXPECT_EQ(got.termination, want.termination);
 }
 
+/// A search context over the naive (conflict-graph pair scan) index: the
+/// restore constructor adopts it with a freshly built violation table and
+/// a cold cover memo — exactly what a from-scratch build would hold.
+std::unique_ptr<FdSearchContext> NaiveContext(const FDSet& sigma,
+                                              const EncodedInstance& enc,
+                                              const WeightFunction& weights,
+                                              const exec::Options& eopts) {
+  DifferenceSetIndex index =
+      BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kNaive);
+  DeltaPEvaluator::WarmState cold;
+  cold.table_rows = ViolationTable(sigma, index).fd_masks();
+  return std::make_unique<FdSearchContext>(sigma, enc, weights,
+                                           HeuristicOptions{},
+                                           std::move(index), std::move(cold));
+}
+
 // --- Blocked == naive, randomized, across thread counts ------------------
 
 class BlockedOracle : public ::testing::TestWithParam<int> {};
@@ -142,14 +160,13 @@ TEST_P(BlockedOracle, SearchTracesMatchNaive) {
     Instance inst = RandomInstance(rng, 30, 5, 3);
     EncodedInstance enc(inst);
     FDSet sigma = TestSigma();
-    FdSearchContext blocked(sigma, enc, weights, {}, eopts,
-                            DiffSetBuildMode::kBlocked);
-    FdSearchContext naive(sigma, enc, weights, {}, eopts,
-                          DiffSetBuildMode::kNaive);
-    ASSERT_EQ(blocked.RootDeltaP(), naive.RootDeltaP());
+    FdSearchContext blocked(sigma, enc, weights, {}, eopts);
+    std::unique_ptr<FdSearchContext> naive =
+        NaiveContext(sigma, enc, weights, eopts);
+    ASSERT_EQ(blocked.RootDeltaP(), naive->RootDeltaP());
     for (int64_t tau :
          {int64_t{0}, blocked.RootDeltaP() / 2, blocked.RootDeltaP()}) {
-      ExpectSameSearch(ModifyFds(blocked, tau), ModifyFds(naive, tau));
+      ExpectSameSearch(ModifyFds(blocked, tau), ModifyFds(*naive, tau));
     }
   }
 }
@@ -172,13 +189,12 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
 
     // Search answers (which materialize the counted group through the
     // cover path) must also agree.
-    FdSearchContext bctx(sigma, enc, weights, {}, eopts,
-                         DiffSetBuildMode::kBlocked);
-    FdSearchContext nctx(sigma, enc, weights, {}, eopts,
-                         DiffSetBuildMode::kNaive);
-    ASSERT_EQ(bctx.RootDeltaP(), nctx.RootDeltaP());
+    FdSearchContext bctx(sigma, enc, weights, {}, eopts);
+    std::unique_ptr<FdSearchContext> nctx =
+        NaiveContext(sigma, enc, weights, eopts);
+    ASSERT_EQ(bctx.RootDeltaP(), nctx->RootDeltaP());
     ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
-                     ModifyFds(nctx, nctx.RootDeltaP() / 2));
+                     ModifyFds(*nctx, nctx->RootDeltaP() / 2));
   }
 }
 

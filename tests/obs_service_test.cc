@@ -197,7 +197,7 @@ TEST(ObsServiceTrace, TracedRepairReturnsMultiLevelSpanTree) {
   ASSERT_NE(expand, nullptr) << "search ran without phase accounting";
   // "count" is serialized only when != 1; absent means exactly one.
   const Json* expand_count = expand->Get("count");
-  EXPECT_TRUE(expand_count == nullptr || expand_count->AsInt() > 1);
+  EXPECT_TRUE(expand_count == nullptr || expand_count->AsNumber() > 1);
 
   // Phase totals accumulate INSIDE the engine's search wall time.
   double phase_seconds = 0.0;
@@ -251,18 +251,18 @@ TEST(ObsServiceMetrics, VerbExposesSeriesAcrossLayers) {
   req["op"] = Json("metrics");
   Json reply = wire.Call(Json(std::move(req)));
   ASSERT_TRUE(reply.Get("ok")->AsBool());
-  EXPECT_GE(reply.Get("series")->AsInt(), 15);
+  EXPECT_GE(reply.Get("series")->AsNumber(), 15);
 
   const std::string text = reply.Get("text")->AsString();
   // One representative series per layer: wire, queue, request latency,
-  // session cache, search engine.
+  // loaded tenants, search engine.
   for (const char* needle :
        {"retrust_wire_requests_total{verb=\"repair\"} 3",
         "retrust_requests_submitted_total 3",
         "retrust_requests_completed_total 3", "retrust_queue_depth",
         "retrust_request_latency_seconds{quantile=\"0.99\"}",
         "retrust_request_latency_seconds_count 3",
-        "retrust_context_cache_entries", "retrust_search_expansions_total",
+        "retrust_loaded_tenant_bytes", "retrust_search_expansions_total",
         "retrust_flight_records_total 3"}) {
     EXPECT_NE(text.find(needle), std::string::npos)
         << "missing series: " << needle << "\n"
@@ -331,7 +331,7 @@ TEST(ObsServiceFlight, DumpRecentReturnsNewestFirstIncludingFailures) {
   EXPECT_EQ(records[1].Get("verb")->AsString(), "repair");
   EXPECT_EQ(records[1].Get("status")->AsString(), "ok");
   EXPECT_GT(records[1].Get("total_seconds")->AsNumber(), 0.0);
-  EXPECT_GT(records[1].Get("search_states_visited")->AsInt(), 0);
+  EXPECT_GT(records[1].Get("search_states_visited")->AsNumber(), 0);
 
   // A limit caps the dump; a bad limit is rejected.
   Json::Object limited;

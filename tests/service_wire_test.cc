@@ -337,7 +337,7 @@ TEST(ServiceWire, OversizedLineGetsBoundedErrorAndConnectionSurvives) {
   Result<Json> second = ParseJson(buf.substr(nl + 1, buf.find('\n', nl + 1) - nl - 1));
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->Get("ok")->AsBool());  // the connection resynced
-  EXPECT_EQ(second->Get("id")->AsInt(), 42);
+  EXPECT_EQ(second->Get("id")->AsNumber(), 42);
 
   ::close(fd);
   loop.Stop();
