@@ -1,13 +1,15 @@
 // Thread-scaling of the two parallelized hot paths:
-//   (a) violation detection — conflict graph + difference-set index over a
-//       10k-tuple generated instance (sharded via src/exec/), and
+//   (a) the difference-set index build — BuildDifferenceSetIndex (blocked)
+//       over a 10k-tuple generated instance, sharded on the pool exactly
+//       as a Session's context build runs it, and
 //   (b) a τ-sweep — many ModifyFds searches over one shared context
 //       (exec::RunSearches).
 // Reports wall-clock and speedup at 1/2/4/8 threads and cross-checks that
 // every thread count produced the identical result (the exec/ determinism
-// contract).
+// contract); exits 1 on any divergence.
 //
 //   build/bench/bench_scaling_threads
+//   RETRUST_BENCH_SCALE=0.05 build/bench/bench_scaling_threads  # ~1 s
 
 #include <cinttypes>
 #include <memory>
@@ -22,18 +24,24 @@ using namespace retrust;
 
 namespace {
 
-// One pass of violation detection; returns a structural checksum.
-uint64_t DetectViolations(const EncodedInstance& inst, const FDSet& fds,
-                          exec::ThreadPool* pool, double* seconds) {
+// One index build; returns a structural checksum over every group's
+// difference set, frequency and edge list.
+uint64_t BuildIndex(const EncodedInstance& inst, const FDSet& fds,
+                    exec::ThreadPool* pool, double* seconds,
+                    int64_t* pairs) {
   Timer timer;
-  ConflictGraph cg = BuildConflictGraph(inst, fds, pool);
-  DifferenceSetIndex index(inst, cg, pool);
+  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, fds, pool);
   *seconds = timer.ElapsedSeconds();
-  uint64_t checksum = cg.num_edges();
-  for (const auto& mask : cg.edge_fd_mask) checksum = checksum * 31 + mask;
+  uint64_t checksum = static_cast<uint64_t>(index.size());
+  *pairs = 0;
   for (const DiffSetGroup& g : index.groups()) {
+    *pairs += g.frequency();
     checksum = checksum * 31 + g.diff.bits();
-    checksum = checksum * 31 + static_cast<uint64_t>(g.edges.size());
+    checksum = checksum * 31 + static_cast<uint64_t>(g.frequency());
+    for (const Edge& e : g.edges) {
+      checksum = checksum * 31 + static_cast<uint64_t>(e.u);
+      checksum = checksum * 31 + static_cast<uint64_t>(e.v);
+    }
   }
   return checksum;
 }
@@ -42,7 +50,8 @@ uint64_t DetectViolations(const EncodedInstance& inst, const FDSet& fds,
 
 int main() {
   bench::Banner("Thread scaling",
-                "violation detection and tau-sweep at 1/2/4/8 threads");
+                "difference-set index build and tau-sweep at 1/2/4/8 "
+                "threads");
 
   CensusConfig gen;
   gen.num_tuples = bench::ScaledN(10000);
@@ -57,17 +66,18 @@ int main() {
 
   const int thread_counts[] = {1, 2, 4, 8};
 
-  std::printf("--- violation detection (%d tuples, %zu conflict edges) ---\n",
-              data.encoded().NumTuples(),
-              BuildConflictGraph(data.encoded(), data.dirty.fds).num_edges());
-  std::printf("%8s %12s %10s\n", "threads", "time(s)", "speedup");
+  std::printf("--- difference-set index build (%d tuples) ---\n",
+              data.encoded().NumTuples());
+  std::printf("%8s %12s %10s %14s\n", "threads", "time(s)", "speedup",
+              "conflict pairs");
   double serial_seconds = 0.0;
   uint64_t serial_checksum = 0;
   for (int t : thread_counts) {
     std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({t});
     double seconds = 0.0;
-    uint64_t checksum =
-        DetectViolations(data.encoded(), data.dirty.fds, pool.get(), &seconds);
+    int64_t pairs = 0;
+    uint64_t checksum = BuildIndex(data.encoded(), data.dirty.fds, pool.get(),
+                                   &seconds, &pairs);
     if (t == 1) {
       serial_seconds = seconds;
       serial_checksum = checksum;
@@ -77,8 +87,8 @@ int main() {
                   t, checksum, serial_checksum);
       return 1;
     }
-    std::printf("%8d %12.3f %9.2fx\n", t, seconds,
-                seconds > 0 ? serial_seconds / seconds : 0.0);
+    std::printf("%8d %12.3f %9.2fx %14" PRId64 "\n", t, seconds,
+                seconds > 0 ? serial_seconds / seconds : 0.0, pairs);
   }
 
   std::vector<int64_t> taus = exec::TauGridFromRelative(
@@ -116,7 +126,7 @@ int main() {
                 seconds > 0 ? serial_sweep / seconds : 0.0);
   }
 
-  std::printf("\nExpected shape: near-linear violation-detection speedup up "
+  std::printf("\nExpected shape: near-linear index-build speedup up "
               "to the physical core count (>= 2x at 4 threads on a 4-core "
               "machine); sweep speedup bounded by its longest single "
               "search.\n");

@@ -316,7 +316,7 @@ Result<int> Session::ReplayJournal(const std::string& path) {
 
 void Session::BuildContext(const FDSet& sigma) {
   context_ = std::make_unique<FdSearchContext>(sigma, *encoded_, *weights_,
-                                               opts_.heuristic, opts_.exec);
+                                               opts_.heuristic, pool());
   SyncDerived();
 }
 
@@ -412,9 +412,9 @@ ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
   opts.cancel = req.cancel;
   opts.phase_trace =
       req.trace != nullptr ? &req.trace->search_phases : nullptr;
-  // opts.exec stays serial: SessionOptions::exec parallelizes ACROSS
-  // batched requests (and shards context builds), never inside one
-  // search — the same composition rule exec::RunRepairs applies to its jobs.
+  // One search runs serially on the caller's thread: the session's pool
+  // parallelizes ACROSS batched requests and inside context builds and
+  // deltas, never inside one search.
   return opts;
 }
 

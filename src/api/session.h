@@ -18,14 +18,14 @@
 //
 // Thread safety: const methods (Repair, RepairMany, Search, ...) are safe
 // to call concurrently. A session schedules on exactly one long-lived pool
-// (SessionOptions::shared_pool, or its own): batched requests fan out on
-// it and Apply() patches the context on it; single requests run inline on
-// the caller's thread. Apply() may ALSO run concurrently with the const
-// request methods: requests take a shared snapshot lock and a delta takes
-// it exclusively, so every request observes either the whole pre-delta or
-// the whole post-delta state, never a mix (the sweep runners' version
-// check double-checks this). EnableJournal and ReplayJournal take the
-// same lock.
+// (SessionOptions::shared_pool, or its own): the context is built on it,
+// batched requests fan out on it and Apply() patches the context on it;
+// single requests run inline on the caller's thread. Apply() may ALSO run
+// concurrently with the const request methods: requests take a shared
+// snapshot lock and a delta takes it exclusively, so every request
+// observes either the whole pre-delta or the whole post-delta state,
+// never a mix (the sweep runners' version check double-checks this).
+// EnableJournal and ReplayJournal take the same lock.
 
 #ifndef RETRUST_API_SESSION_H_
 #define RETRUST_API_SESSION_H_
@@ -55,14 +55,15 @@ enum class WeightModel { kDistinctCount, kCardinality, kEntropy };
 struct SessionOptions {
   WeightModel weights = WeightModel::kDistinctCount;
   HeuristicOptions heuristic;
-  /// Shards context construction AND sizes the session's pool, which
-  /// batched requests (RepairMany/SearchMany) and Apply() run on. Results
-  /// are bit-identical for any thread count (DESIGN.md).
+  /// Sizes the session's own pool, which the context build, batched
+  /// requests (RepairMany/SearchMany) and Apply() run on. Results are
+  /// bit-identical for any thread count (DESIGN.md).
   exec::Options exec;
-  /// Optional externally-owned pool (nullable) the session's batches and
-  /// Apply() schedule on instead of its own pool of `exec` threads — a
-  /// process holding many sessions (one per tenant, src/service/) shares
-  /// ONE pool across all of them. Must outlive the session.
+  /// Optional externally-owned pool (nullable) the session's context
+  /// build, batches and Apply() schedule on instead of its own pool of
+  /// `exec` threads — a process holding many sessions (one per tenant,
+  /// src/service/) shares ONE pool across all of them. Must outlive the
+  /// session.
   exec::ThreadPool* shared_pool = nullptr;
 };
 
@@ -317,8 +318,9 @@ class Session {
   /// Recomputes the fields derived from context_ (root δP, byte estimate)
   /// after a build, a restore or an Apply patch.
   void SyncDerived();
-  /// The pool batches and Apply run on: the shared one when provided,
-  /// else the session's own (null = serial inline execution).
+  /// The pool context builds, batches and Apply run on: the shared one
+  /// when provided, else the session's own (null = serial inline
+  /// execution).
   exec::ThreadPool* pool() const {
     return opts_.shared_pool != nullptr ? opts_.shared_pool : own_pool_.get();
   }
@@ -349,8 +351,8 @@ class Session {
   /// Heap-pinned so Session stays movable.
   std::unique_ptr<std::shared_mutex> state_mu_;
   /// The session's own pool, created at construction unless
-  /// opts_.shared_pool is set (null when serial). Batches and Apply —
-  /// which the snapshot lock keeps apart — share it.
+  /// opts_.shared_pool is set (null when serial). The context build,
+  /// batches and Apply — which the snapshot lock keeps apart — share it.
   std::unique_ptr<exec::ThreadPool> own_pool_;
   /// Write-ahead delta journal (EnableJournal); Apply logs each batch
   /// before mutating. Guarded by the exclusive snapshot lock.

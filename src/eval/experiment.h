@@ -38,8 +38,9 @@ struct ExperimentData {
 };
 
 /// Generates, perturbs, encodes, and builds the search context. `eopts`
-/// shards the conflict-graph/difference-set construction (identical output
-/// for any thread count).
+/// sizes the session's pool (SessionOptions::exec), which builds the
+/// context and runs batched requests (identical output for any thread
+/// count).
 ExperimentData PrepareExperiment(const CensusConfig& gen,
                                  const PerturbOptions& perturb,
                                  WeightKind weights = WeightKind::kDistinctCount,

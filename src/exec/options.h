@@ -1,10 +1,14 @@
-// Execution options threaded through the repair APIs.
+// The thread count a pool is made with (MakePool).
+//
+// Only the places that make a pool take these options: a Session's own
+// pool (SessionOptions::exec). Every kernel below api/ takes the caller's
+// nullable exec::ThreadPool* instead (null = serial).
 //
 // The exec/ subsystem is split in two dependency levels: the primitives
 // (options, ThreadPool, ParallelFor) depend on nothing but the standard
 // library and are usable from any layer (src/fd/ uses them for sharded
-// violation detection); the sweep runners (sweep.h) sit above
-// src/repair/. See DESIGN.md for the determinism contract.
+// index builds); the sweep runners (sweep.h) sit above src/repair/. See
+// DESIGN.md for the determinism contract.
 
 #ifndef RETRUST_EXEC_OPTIONS_H_
 #define RETRUST_EXEC_OPTIONS_H_
@@ -13,8 +17,8 @@
 
 namespace retrust::exec {
 
-/// How many threads a parallel kernel may use. The contract everywhere in
-/// this codebase: results are bit-identical for ANY value of num_threads —
+/// How many threads a pool gets. The contract everywhere in this
+/// codebase: results are bit-identical for ANY value of num_threads —
 /// parallelism changes wall-clock time, never output.
 struct Options {
   /// 1 = serial (no pool is created); 0 = std::thread::hardware_concurrency;

@@ -51,7 +51,7 @@ void ApplySeed(ModifyFdsOptions* opts, double seed) {
 
 /// The one greedy-first wave scheduler behind RunRepairs and RunSearches:
 /// greedy jobs run first, then every other job, seeded from their
-/// incumbents. `run_one(job)` runs one job with serial search options.
+/// incumbents. `run_one(job)` runs one job.
 template <typename Outcome, typename Job, typename RunOne>
 std::vector<Outcome> RunWaves(const char* name, const FdSearchContext& ctx,
                               const std::vector<Job>& jobs, ThreadPool* pool,
@@ -74,9 +74,7 @@ std::vector<Outcome> RunWaves(const char* name, const FdSearchContext& ctx,
       const double seed = SeedFor(jobs[i].tau, incumbents);
       group.Run([&jobs, &outcomes, &run_one, i, seed] {
         Job job = jobs[i];
-        ModifyFdsOptions& search = SearchOptionsOf(job);
-        search.exec = Options{};  // jobs are the unit of parallelism
-        ApplySeed(&search, seed);
+        ApplySeed(&SearchOptionsOf(job), seed);
         outcomes[i] = run_one(job);
       });
     }

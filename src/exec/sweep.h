@@ -27,13 +27,13 @@
 
 namespace retrust::exec {
 
-/// One job of a sweep: an end-to-end repair at trust level τ. The job's
-/// `opts.search.exec` is overridden to serial — the sweep parallelizes
-/// ACROSS jobs, never inside them. Every other search knob rides along
-/// per job, including `opts.search.policy`: a sweep can mix exact and
-/// anytime/greedy jobs freely (each job runs its own engine loop with its
-/// own incumbents/bounds; the shared context and cover memo stay policy-
-/// agnostic).
+/// One job of a sweep: an end-to-end repair at trust level τ. The sweep
+/// parallelizes ACROSS jobs; each job's search runs serially on its
+/// worker. Every search knob rides along per job, including
+/// `opts.search.policy`: a sweep can mix exact and anytime/greedy jobs
+/// freely (each job runs its own engine loop with its own
+/// incumbents/bounds; the shared context and cover memo stay
+/// policy-agnostic).
 ///
 /// Mixed-policy sweeps are scheduled POLICY-AWARE: all kGreedy jobs run as
 /// a first wave, and each remaining job's `initial_upper_bound` is seeded

@@ -336,14 +336,6 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   return patch;
 }
 
-std::vector<int> DifferenceSetIndex::ViolatingGroups(const FDSet& fds) const {
-  std::vector<int> out;
-  for (int i = 0; i < size(); ++i) {
-    if (DiffSetViolates(groups_[i].diff, fds)) out.push_back(i);
-  }
-  return out;
-}
-
 std::string DifferenceSetIndex::ToString(const Schema& schema) const {
   std::string out;
   for (const DiffSetGroup& g : groups_) {
@@ -355,6 +347,9 @@ std::string DifferenceSetIndex::ToString(const Schema& schema) const {
   return out;
 }
 
+namespace {
+
+// The blocked build (see BuildDifferenceSetIndex in the header).
 DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
                                                   const FDSet& sigma,
                                                   exec::ThreadPool* pool,
@@ -489,14 +484,15 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
   return index;
 }
 
+}  // namespace
+
 DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
                                            const FDSet& sigma,
-                                           const exec::Options& eopts,
+                                           exec::ThreadPool* pool,
                                            DiffSetBuildMode mode,
                                            DiffSetBuildStats* stats) {
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   if (mode == DiffSetBuildMode::kBlocked) {
-    return BuildDifferenceSetIndexBlocked(inst, sigma, pool.get(), stats);
+    return BuildDifferenceSetIndexBlocked(inst, sigma, pool, stats);
   }
 
   // kNaive: the quadratic oracle — a direct scan over all C(n,2) tuple
@@ -519,11 +515,11 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
     std::vector<std::pair<Edge, AttrSet>> records;
     int64_t full = 0;  ///< disagree-everywhere pairs (counted, never stored)
   };
-  exec::ChunkPlan plan = exec::PlanChunks(n, pool.get());
+  exec::ChunkPlan plan = exec::PlanChunks(n, pool);
   std::vector<ChunkOut> per_chunk(
       static_cast<size_t>(std::max(plan.num_chunks, 1)));
   exec::ParallelFor(
-      pool.get(), plan, [&](int64_t begin, int64_t end, int chunk) {
+      pool, plan, [&](int64_t begin, int64_t end, int chunk) {
     ChunkOut& out = per_chunk[chunk];
     for (TupleId u = static_cast<TupleId>(begin);
          u < static_cast<TupleId>(end); ++u) {

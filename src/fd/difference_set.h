@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/exec/options.h"
 #include "src/fd/conflict_graph.h"
 
 namespace retrust {
@@ -143,8 +142,8 @@ class DifferenceSetIndex {
   /// Precondition: no counted groups (throws std::logic_error otherwise).
   /// A counted group's pre-delta pair population is not recoverable from
   /// the post-delta instance, so in the degenerate empty-LHS-FD regime
-  /// FdSearchContext::ApplyDelta rebuilds the index with the blocked
-  /// builder instead of patching it.
+  /// FdSearchContext::ApplyDelta rebuilds the index with
+  /// BuildDifferenceSetIndex instead of patching it.
   IndexPatch ApplyDelta(const EncodedInstance& inst, const FDSet& sigma,
                         const std::vector<TupleId>& dirty,
                         const std::vector<TupleId>& remap,
@@ -173,10 +172,6 @@ class DifferenceSetIndex {
   /// returned reference stays valid for the index's lifetime.
   const std::vector<Edge>& EdgesForCover(int g) const;
 
-  /// Indices of groups whose difference set violates at least one FD of
-  /// `fds` (i.e. groups still in conflict under a candidate Σ').
-  std::vector<int> ViolatingGroups(const FDSet& fds) const;
-
   std::string ToString(const Schema& schema) const;
 
  private:
@@ -199,26 +194,23 @@ class DifferenceSetIndex {
 /// True iff difference set `diff` violates at least one FD in `fds`.
 bool DiffSetViolates(AttrSet diff, const FDSet& fds);
 
-/// The blocked front door (ROADMAP item 1): per-attribute partitions
-/// (PartitionBy) restrict pair enumeration to equivalence classes, the
-/// first-agreeing-attribute ownership rule emits each agree-somewhere pair
-/// exactly once, and the residual disagree-everywhere pairs are counted,
-/// not materialized. Work is sharded over (attribute, class) units on
-/// `pool` (nullable = serial) with canonical merge order — BIT-IDENTICAL
-/// to the naive build for any thread count. O(Σ_classes |c|²·m) instead of
-/// O(n²·m); sub-quadratic whenever per-attribute classes stay small.
-DifferenceSetIndex BuildDifferenceSetIndexBlocked(
-    const EncodedInstance& inst, const FDSet& sigma, exec::ThreadPool* pool,
-    DiffSetBuildStats* stats = nullptr);
-
-/// Builds the difference-set index of (inst, sigma), sharded on a
-/// short-lived pool per `eopts` (serial options spin up no pool). The
-/// result is BIT-IDENTICAL for any thread count and for either build mode.
-/// Shared by the FD-modification search and Algorithm 4's data-repair
-/// pass. `stats`, when non-null, receives the build's per-phase breakdown.
+/// The one front door to the difference-set index of (inst, sigma),
+/// sharded on `pool` (nullable = serial, not owned). The result is
+/// BIT-IDENTICAL for any pool size and for either build mode. Shared by
+/// the search context (build and delta rebuild) and Algorithm 4's
+/// data-repair pass. `stats`, when non-null, receives the build's
+/// per-phase breakdown.
+///
+/// kBlocked: per-attribute partitions (PartitionBy) restrict pair
+/// enumeration to equivalence classes, the first-agreeing-attribute
+/// ownership rule emits each agree-somewhere pair exactly once, and the
+/// residual disagree-everywhere pairs are counted, not materialized. Work
+/// is sharded over (attribute, class) units with canonical merge order.
+/// O(Σ_classes |c|²·m) instead of O(n²·m); sub-quadratic whenever
+/// per-attribute classes stay small. kNaive scans all C(n,2) pairs.
 DifferenceSetIndex BuildDifferenceSetIndex(
     const EncodedInstance& inst, const FDSet& sigma,
-    const exec::Options& eopts,
+    exec::ThreadPool* pool = nullptr,
     DiffSetBuildMode mode = DiffSetBuildMode::kBlocked,
     DiffSetBuildStats* stats = nullptr);
 

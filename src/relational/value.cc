@@ -1,11 +1,21 @@
 #include "src/relational/value.h"
 
+#include <bit>
+#include <cstdint>
+
 #include "src/util/hash.h"
 
 namespace retrust {
 
 bool operator==(const Value& a, const Value& b) {
   if (a.rep_.index() != b.rep_.index()) return false;
+  // Doubles compare by bit pattern, the key Hash() uses: NaN equals
+  // itself (a NaN cell must intern to one dictionary code) and 0.0 and
+  // -0.0 stay distinct values.
+  if (a.kind() == Value::Kind::kDouble) {
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  }
   return a.rep_ == b.rep_;
 }
 
@@ -43,14 +53,9 @@ size_t Value::Hash() const {
     case Kind::kInt:
       HashCombine(&seed, static_cast<uint64_t>(AsInt()));
       break;
-    case Kind::kDouble: {
-      double d = AsDouble();
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      HashCombine(&seed, bits);
+    case Kind::kDouble:
+      HashCombine(&seed, std::bit_cast<uint64_t>(AsDouble()));
       break;
-    }
     case Kind::kString:
       HashCombine(&seed, std::hash<std::string>{}(AsString()));
       break;

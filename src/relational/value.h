@@ -2,7 +2,8 @@
 //
 // A cell holds either a constant (null / int64 / double / string) or an
 // attribute-scoped variable v^A_i. Equality follows the V-instance rules:
-//   * constants compare by type and content;
+//   * constants compare by type and content (doubles by bit pattern, so
+//     NaN equals NaN and 0.0 differs from -0.0);
 //   * a variable equals another variable iff they have the same attribute
 //     and index (the same variable);
 //   * a variable never equals a constant (variables instantiate to fresh

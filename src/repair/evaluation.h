@@ -21,7 +21,6 @@
 #include <mutex>
 #include <vector>
 
-#include "src/exec/options.h"
 #include "src/fd/violation_table.h"
 #include "src/graph/cover_memo.h"
 #include "src/repair/state.h"
@@ -31,12 +30,12 @@ namespace retrust {
 /// Evaluates δP building blocks for the states of one (Σ, I) search.
 class DeltaPEvaluator {
  public:
-  /// Builds the violation table (sharded per `eopts`; bit-identical for
-  /// any thread count) and an empty cover memo over the index's groups.
-  /// `index` must outlive the evaluator (FdSearchContext owns both, index
-  /// first).
+  /// Builds the violation table (sharded on `pool`, nullable = serial;
+  /// bit-identical for any pool size) and an empty cover memo over the
+  /// index's groups. `index` must outlive the evaluator (FdSearchContext
+  /// owns both, index first).
   DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
-                  int num_tuples, const exec::Options& eopts = {});
+                  int num_tuples, exec::ThreadPool* pool = nullptr);
 
   /// The evaluator's serialized caches (src/persist/): the violation
   /// table's incidence rows plus the memo's cached covers.

@@ -1,6 +1,5 @@
 #include "src/repair/modify_fds.h"
 
-#include "src/exec/thread_pool.h"
 #include "src/fd/conflict_graph.h"
 #include "src/search/engine.h"
 
@@ -10,15 +9,15 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                  const EncodedInstance& inst,
                                  const WeightFunction& weights,
                                  const HeuristicOptions& hopts,
-                                 const exec::Options& eopts)
+                                 exec::ThreadPool* pool)
     : sigma_(sigma),
       num_tuples_(inst.NumTuples()),
       space_(sigma, inst.schema()),
-      index_(BuildDifferenceSetIndex(inst, sigma, eopts,
+      index_(BuildDifferenceSetIndex(inst, sigma, pool,
                                      DiffSetBuildMode::kBlocked,
                                      &build_stats_)),
       evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
-                                                   inst.NumTuples(), eopts)),
+                                                   inst.NumTuples(), pool)),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
                  evaluator_.get()) {
@@ -49,20 +48,13 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
 
 FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
     const EncodedInstance& inst, const std::vector<TupleId>& dirty,
-    const std::vector<TupleId>& remap, const exec::Options& eopts) {
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
-  return ApplyDelta(inst, dirty, remap, pool.get());
-}
-
-FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
-    const EncodedInstance& inst, const std::vector<TupleId>& dirty,
     const std::vector<TupleId>& remap, exec::ThreadPool* pool) {
   DeltaReport report;
   if (DiffSetViolates(AttrSet::Universe(inst.NumAttrs()), sigma_)) {
     // Degenerate empty-LHS-FD regime: full-disagreement pairs are conflict
     // edges, so the index may hold (or the delta may create) a counted
     // group, whose pre-delta pair population cannot be patched from the
-    // post-delta instance. Rebuild with the blocked builder. The test is
+    // post-delta instance. Rebuild from scratch. The test is
     // on Σ, not on HasCountedGroups(): a delta can create the FIRST
     // full-disagreement pair, and the incremental path would materialize
     // it — diverging from a fresh blocked build.
@@ -73,8 +65,9 @@ FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
     };
     report.index.old_to_new.assign(index_.size(), -1);
     report.index.edges_removed = edge_total(index_);
-    index_ = BuildDifferenceSetIndexBlocked(inst, sigma_, pool,
-                                            &build_stats_);
+    index_ = BuildDifferenceSetIndex(inst, sigma_, pool,
+                                     DiffSetBuildMode::kBlocked,
+                                     &build_stats_);
     index_.BindInstance(&inst);
     report.index.edges_added = edge_total(index_);
     report.index.groups_preserved = 0;
@@ -123,7 +116,7 @@ ModifyFdsResult ModifyFds(const FdSearchContext& ctx, int64_t tau,
 ModifyFdsResult ModifyFds(const FDSet& sigma, const EncodedInstance& inst,
                           int64_t tau, const WeightFunction& weights,
                           const ModifyFdsOptions& opts) {
-  FdSearchContext ctx(sigma, inst, weights, opts.heuristic, opts.exec);
+  FdSearchContext ctx(sigma, inst, weights, opts.heuristic);
   return ModifyFds(ctx, tau, opts);
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/exec/cancel.h"
-#include "src/exec/options.h"
 #include "src/fd/difference_set.h"
 #include "src/obs/trace.h"
 #include "src/repair/evaluation.h"
@@ -58,17 +57,6 @@ struct ModifyFdsOptions {
   /// Cooperative cancellation, polled once per popped state. Not owned;
   /// the caller keeps the token alive for the duration of the search.
   const exec::CancelToken* cancel = nullptr;
-  /// Parallel successor evaluation (src/exec/). With more than one thread,
-  /// a popped state's LHS-extensions are evaluated speculatively on a
-  /// thread pool at expansion time, each child with its own cover scratch;
-  /// the search consumes the memoized values in the exact serial order, so
-  /// the REPAIR and the visit schedule (states_visited/states_generated)
-  /// are BIT-IDENTICAL for any num_threads (see DESIGN.md). The
-  /// heuristic_calls/vc_computations counters report actual work done,
-  /// which is LARGER under speculation (children that never reach the top
-  /// of the open list still get evaluated) — compare those counters across
-  /// search modes only at num_threads = 1.
-  exec::Options exec;
   /// Per-phase wall-time accumulators (expand/evaluate/cover/bound) for
   /// request tracing. Null (the default) disables instrumentation: the
   /// engine's hot loop then does no clock reads for tracing, and the
@@ -115,18 +103,18 @@ struct ModifyFdsResult {
 /// concurrently: every const method is thread-safe (pooled scratch owned
 /// by the evaluation layer, mutex-guarded memos), which is what the
 /// exec/ sweep runners rely on; sweep jobs share the table AND the cover
-/// memo.
+/// memo. Each search itself runs serially on its caller's thread.
 class FdSearchContext {
  public:
-  /// `eopts` shards the difference-set and violation-table construction
-  /// (identical output for any thread count); the index comes from the
-  /// blocked builder (BuildDifferenceSetIndex). The context keeps a
+  /// The difference-set index (BuildDifferenceSetIndex, blocked) and the
+  /// violation table are built sharded on `pool` (nullable = serial, not
+  /// owned; identical output for any pool size). The context keeps a
   /// pointer to `inst` (for lazy materialization of counted groups), so
   /// `inst` must outlive the context — already required by ApplyDelta.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts = {},
-                  const exec::Options& eopts = {});
+                  exec::ThreadPool* pool = nullptr);
 
   /// Restore construction (src/persist/): adopts a pre-built difference-set
   /// index and the evaluator's warm caches instead of paying the O(n²)
@@ -149,27 +137,20 @@ class FdSearchContext {
   /// Delta-maintains the context after `inst` — the SAME instance this
   /// context was built over — had a DeltaBatch applied in place (delta.h).
   /// `dirty`/`remap` come from the batch's DeltaPlan. The difference-set
-  /// index is patched in O(Δ·n) (sharded per `eopts`), the violation
-  /// table copies preserved incidence rows, and warm covers over
-  /// preserved groups are remapped; every post-delta answer is
+  /// index is patched in O(Δ·n) (sharded on `pool`, nullable = serial),
+  /// the violation table copies preserved incidence rows, and warm covers
+  /// over preserved groups are remapped; every post-delta answer is
   /// BIT-IDENTICAL to a context freshly built over the mutated instance,
-  /// for any thread count. Exception: when some FD of Σ has an empty LHS
+  /// for any pool size. Exception: when some FD of Σ has an empty LHS
   /// (the only regime where full-disagreement pairs are conflict edges and
   /// the index may carry a counted group), the pre-delta pair population
   /// is not recoverable from the post-delta instance, so the index is
-  /// REBUILT with the blocked builder and all warm covers drop — still
+  /// REBUILT by BuildDifferenceSetIndex and all warm covers drop — still
   /// bit-identical to a fresh build, just without the O(Δ·n) shortcut.
   /// Bumps version(); an exec/ sweep in flight detects the bump and
   /// refuses to mix snapshots. NOT safe against
   /// concurrent const use — callers serialize deltas against queries
   /// (retrust::Session does this with a shared/exclusive lock).
-  DeltaReport ApplyDelta(const EncodedInstance& inst,
-                         const std::vector<TupleId>& dirty,
-                         const std::vector<TupleId>& remap,
-                         const exec::Options& eopts = {});
-
-  /// Same on an existing pool (nullable = serial) — Session::Apply patches
-  /// on the session's long-lived pool instead of spawning one per delta.
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,

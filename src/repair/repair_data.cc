@@ -74,15 +74,13 @@ std::optional<std::vector<int32_t>> FindAssignment(
 }  // namespace internal
 
 DataRepairResult RepairData(const EncodedInstance& inst,
-                            const FDSet& sigma_prime, Rng* rng,
-                            const exec::Options& eopts) {
+                            const FDSet& sigma_prime, Rng* rng) {
   DataRepairResult result;
   // Compute the matching cover over edges in difference-set-group order —
   // the SAME canonical order FdSearchContext::CoverSize uses — so the
   // number of cover tuples here equals the δP/α the search certified
-  // against τ (Theorem 2 consistency). The graph/index construction is
-  // sharded per eopts; the index is identical for any thread count.
-  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime, eopts);
+  // against τ (Theorem 2 consistency).
+  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime);
   index.BindInstance(&inst);  // counted groups materialize lazily
   std::vector<int32_t> cover;
   {

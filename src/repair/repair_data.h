@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/exec/options.h"
 #include "src/fd/fdset.h"
 #include "src/relational/dictionary.h"
 #include "src/util/hash.h"
@@ -34,13 +33,10 @@ struct DataRepairResult {
 };
 
 /// Algorithm 4. `rng` drives the random tuple/attribute orders; fix the
-/// seed for reproducible repairs. `eopts` shards the conflict-graph and
-/// difference-set construction that finds the cover (the repaired
-/// instance is BIT-IDENTICAL for any thread count; the chase itself is
-/// linear-time, seed-driven, and stays serial).
+/// seed for reproducible repairs. Runs serially on the caller's thread:
+/// a sweep parallelizes across repairs (src/exec/sweep.h), not inside one.
 DataRepairResult RepairData(const EncodedInstance& inst,
-                            const FDSet& sigma_prime, Rng* rng,
-                            const exec::Options& eopts = {});
+                            const FDSet& sigma_prime, Rng* rng);
 
 namespace internal {
 

@@ -21,8 +21,7 @@ RepairOutcome RunRepair(const FdSearchContext& ctx,
 
   const FdRepair& fd_repair = *search.repair;
   Rng rng(opts.seed);
-  DataRepairResult data =
-      RepairData(inst, fd_repair.sigma_prime, &rng, opts.search.exec);
+  DataRepairResult data = RepairData(inst, fd_repair.sigma_prime, &rng);
 
   Repair out;
   out.sigma_prime = fd_repair.sigma_prime;
@@ -43,8 +42,7 @@ std::optional<Repair> RepairDataAndFds(const FDSet& sigma,
                                        int64_t tau,
                                        const WeightFunction& weights,
                                        const RepairOptions& opts) {
-  FdSearchContext ctx(sigma, inst, weights, opts.search.heuristic,
-                      opts.search.exec);
+  FdSearchContext ctx(sigma, inst, weights, opts.search.heuristic);
   return RunRepair(ctx, inst, tau, opts).repair;
 }
 

@@ -15,10 +15,9 @@
 
 namespace retrust {
 
-/// Options for the end-to-end repair. Parallel execution is configured via
-/// `search.exec` (exec::Options{num_threads}); Algorithm 4's data-repair
-/// pass stays serial — it is linear-time and seed-driven. Results are
-/// bit-identical for any thread count (see DESIGN.md).
+/// Options for the end-to-end repair. One repair runs serially on the
+/// caller's thread; parallelism comes from running many repairs at once
+/// (exec::RunRepairs) over a context built on a pool (see DESIGN.md).
 struct RepairOptions {
   ModifyFdsOptions search;
   uint64_t seed = 1;  ///< drives Algorithm 4's random orders

@@ -5,16 +5,6 @@
 #include "src/util/timer.h"
 
 namespace retrust {
-namespace {
-
-// δP(Σc, I) evaluated against the root difference-set index (relaxations of
-// Σ only lose conflict edges, so filtering the root groups is exact).
-int64_t DeltaPOf(const FdSearchContext& ctx, const SearchState& s,
-                 SearchStats* stats) {
-  return ctx.DeltaP(s, stats);
-}
-
-}  // namespace
 
 Repair UnifiedCostRepair(const FDSet& sigma, const EncodedInstance& inst,
                          const WeightFunction& weights,
@@ -23,12 +13,12 @@ Repair UnifiedCostRepair(const FDSet& sigma, const EncodedInstance& inst,
   // The greedy descent scores every candidate via ctx.DeltaP, i.e. through
   // the context's shared δP evaluation layer — candidates revisited across
   // descent rounds hit the cover memo instead of recomputing.
-  FdSearchContext ctx(sigma, inst, weights, HeuristicOptions{}, opts.exec);
+  FdSearchContext ctx(sigma, inst, weights);
   SearchStats stats;
 
   SearchState current = SearchState::Root(sigma.size());
   double current_fd_cost = 0.0;
-  int64_t current_delta = DeltaPOf(ctx, current, &stats);
+  int64_t current_delta = ctx.DeltaP(current, &stats);
   double current_score = static_cast<double>(current_delta);
 
   // Greedy descent over single-attribute LHS appends.
@@ -45,7 +35,7 @@ Repair UnifiedCostRepair(const FDSet& sigma, const EncodedInstance& inst,
         SearchState cand = current;
         cand.ext[i].Add(a);
         double fd_cost = weights.Cost(cand.ext);
-        int64_t delta = DeltaPOf(ctx, cand, &stats);
+        int64_t delta = ctx.DeltaP(cand, &stats);
         double score =
             static_cast<double>(delta) + opts.lambda * fd_cost;
         ++stats.states_visited;
@@ -68,7 +58,7 @@ Repair UnifiedCostRepair(const FDSet& sigma, const EncodedInstance& inst,
 
   FDSet sigma_prime = current.Apply(sigma);
   Rng rng(opts.seed);
-  DataRepairResult data = RepairData(inst, sigma_prime, &rng, opts.exec);
+  DataRepairResult data = RepairData(inst, sigma_prime, &rng);
 
   Repair out;
   out.sigma_prime = std::move(sigma_prime);

@@ -21,7 +21,6 @@
 #ifndef RETRUST_REPAIR_UNIFIED_COST_H_
 #define RETRUST_REPAIR_UNIFIED_COST_H_
 
-#include "src/exec/options.h"
 #include "src/repair/repair_driver.h"
 
 namespace retrust {
@@ -35,9 +34,6 @@ struct UnifiedCostOptions {
   /// space reference [5] searches).
   bool single_attr_per_fd = true;
   uint64_t seed = 1;
-  /// Shards the context construction and the data-repair cover build
-  /// (results bit-identical for any thread count, see DESIGN.md).
-  exec::Options exec;
 };
 
 /// Runs the unified-cost baseline; always returns a repair (τ is not a

@@ -51,7 +51,7 @@ class CardinalityWeight final : public WeightFunction {
 /// w(Y) = |π_Y(I)| (number of distinct Y-projections in the initial
 /// instance), w(∅) = 0 — the paper's experimental choice. Memoized; the
 /// memo is mutex-guarded so one weight instance may serve concurrent
-/// searches (exec/ sweeps, parallel successor evaluation).
+/// searches (the τ jobs of an exec/ sweep).
 class DistinctCountWeight final : public WeightFunction {
  public:
   /// Keeps a reference to `inst`; the instance must outlive the weight.

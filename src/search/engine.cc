@@ -5,9 +5,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 
-#include "src/exec/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/search/bound.h"
 #include "src/util/timer.h"
@@ -42,90 +40,6 @@ struct OpenEntry {
   }
 };
 
-// Speculative successor evaluator for the parallel engine.
-//
-// gc(S) and |C2opt(S)| are pure functions of (state, τ), so evaluating
-// them EARLY — at expansion time, for a popped state's LHS-extensions
-// concurrently, each child on pooled scratch owned by the context's
-// evaluation layer — and handing the memoized values to the unmodified
-// lazy search loop later produces the exact serial visit order and result
-// for any thread count. Speculation trades extra evaluations (children
-// that never reach the top of the heap) for wall-clock parallelism; the
-// serial path (no pool) skips it entirely and keeps the lazy O(visited)
-// evaluation count.
-class SuccessorEvaluator {
- public:
-  SuccessorEvaluator(const FdSearchContext& ctx, int64_t tau, bool astar,
-                     exec::ThreadPool* pool)
-      : ctx_(ctx), tau_(tau), astar_(astar), pool_(pool) {}
-
-  bool active() const { return pool_ != nullptr; }
-
-  /// Evaluates gc (A*) and δP of the flagged children concurrently and
-  /// memoizes the values. Stats of the evaluations are merged into `stats`
-  /// in child order (deterministic totals).
-  void Speculate(const std::vector<SearchState>& children,
-                 const std::vector<char>& keep, SearchStats* stats) {
-    if (!active() || children.empty()) return;
-    std::vector<Entry> results(children.size());
-    exec::TaskGroup group(pool_);
-    for (size_t i = 0; i < children.size(); ++i) {
-      if (!keep[i]) continue;
-      const SearchState& child = children[i];
-      Entry* out = &results[i];
-      group.Run([this, &child, out] {
-        if (astar_) {
-          out->gc = ctx_.heuristic().Compute(child, tau_, &out->stats);
-          if (out->gc == GcHeuristic::kInfinity) return;  // never visited
-        }
-        out->cover = ctx_.CoverSize(child, &out->stats);
-      });
-    }
-    group.Wait();
-    for (size_t i = 0; i < children.size(); ++i) {
-      if (!keep[i]) continue;
-      stats->Accumulate(results[i].stats);
-      results[i].stats = SearchStats{};
-      cache_.emplace(children[i], results[i]);
-    }
-  }
-
-  /// gc(s): memoized value if speculated, computed inline otherwise.
-  double Gc(const SearchState& s, SearchStats* stats) {
-    auto it = cache_.find(s);
-    if (it != cache_.end()) {
-      double gc = it->second.gc;
-      if (gc == GcHeuristic::kInfinity) cache_.erase(it);  // discarded next
-      return gc;
-    }
-    return ctx_.heuristic().Compute(s, tau_, stats);
-  }
-
-  /// |C2opt(s)|: memoized value if speculated, computed inline otherwise.
-  int64_t Cover(const SearchState& s, SearchStats* stats) {
-    auto it = cache_.find(s);
-    if (it != cache_.end() && it->second.cover >= 0) {
-      int64_t cover = it->second.cover;
-      cache_.erase(it);  // a state is visited at most once
-      return cover;
-    }
-    return ctx_.CoverSize(s, stats);
-  }
-
- private:
-  struct Entry {
-    double gc = 0.0;
-    int64_t cover = -1;
-    SearchStats stats;
-  };
-
-  const FdSearchContext& ctx_;
-  int64_t tau_;
-  bool astar_;
-  exec::ThreadPool* pool_;
-  std::unordered_map<SearchState, Entry, SearchStateHash> cache_;
-};
-
 }  // namespace
 
 ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
@@ -155,8 +69,6 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     return greedy ? f - cost : cost + w * (f - cost);
   };
 
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(opts.exec);
-  SuccessorEvaluator evaluator(ctx, tau, astar, pool.get());
   std::unique_ptr<CoverLowerBound> lb;
   if (!exact) lb = std::make_unique<CoverLowerBound>(ctx);
 
@@ -219,14 +131,14 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     pq.pop();
 
     if (!top.evaluated) {
-      // Deferred gc evaluation (A* only); memoized when speculated.
+      // Deferred gc evaluation (A* only).
       double gc;
       {
         std::optional<obs::PhaseTimer> t;
         if (phases != nullptr) {
           t.emplace(&phases->evaluate_seconds, &phases->evaluate_count);
         }
-        gc = evaluator.Gc(top.state, &stats);
+        gc = ctx.heuristic().Compute(top.state, tau, &stats);
       }
       if (gc == GcHeuristic::kInfinity) continue;  // no goal below here
       if (exact) {
@@ -291,7 +203,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       if (phases != nullptr) {
         t.emplace(&phases->cover_seconds, &phases->cover_count);
       }
-      cover = evaluator.Cover(top.state, &stats);
+      cover = ctx.CoverSize(top.state, &stats);
     }
     int64_t delta_p = ctx.alpha() * cover;
     if (delta_p <= tau) {
@@ -326,8 +238,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     }
 
     // Expand. Children inherit the parent's priority as a lower bound;
-    // the ones surviving the bound check are (optionally) evaluated
-    // speculatively in parallel before being pushed in canonical order.
+    // the ones surviving the bound check are pushed in canonical order.
     ++stats.expansions;
     std::optional<obs::PhaseTimer> expand_timer;
     if (phases != nullptr) {
@@ -364,7 +275,6 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
         if (child_cost[i] > cost_ub + eps) keep[i] = 0;
       }
     }
-    evaluator.Speculate(children, keep, &stats);
     for (size_t i = 0; i < children.size(); ++i) {
       if (!keep[i]) continue;
       pq.push({lower[i], child_cost[i], seq++, !astar,

@@ -2,8 +2,7 @@
 //
 // Kept as a dependency-free leaf header so the option structs of layers
 // BELOW the engine (repair/'s ModifyFdsOptions, api/'s RepairRequest) can
-// carry a policy without depending on the engine itself — the same
-// layering rule exec/options.h follows for the thread-count knob.
+// carry a policy without depending on the engine itself.
 
 #ifndef RETRUST_SEARCH_POLICY_H_
 #define RETRUST_SEARCH_POLICY_H_
@@ -17,7 +16,7 @@ namespace retrust::search {
 enum class SearchPolicy {
   /// Algorithm 2 exactly: best-first on max(gc, cost), full optimality
   /// scan (and δP tie-break). BIT-IDENTICAL to the pre-engine ModifyFds
-  /// at any thread count — no lower-bound pruning, no weighting.
+  /// — no lower-bound pruning, no weighting.
   kExact,
   /// Weighted-A* anytime: open list ordered by cost + w·(f − cost) with
   /// f = max(gc, cost), so the first goal popped costs at most w·optimal.

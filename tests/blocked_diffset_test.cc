@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/exec/thread_pool.h"
 #include "src/fd/difference_set.h"
 #include "src/fd/violation_table.h"
 #include "src/relational/delta.h"
@@ -101,9 +102,9 @@ void ExpectSameSearch(const ModifyFdsResult& got, const ModifyFdsResult& want) {
 std::unique_ptr<FdSearchContext> NaiveContext(const FDSet& sigma,
                                               const EncodedInstance& enc,
                                               const WeightFunction& weights,
-                                              const exec::Options& eopts) {
+                                              exec::ThreadPool* pool) {
   DifferenceSetIndex index =
-      BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kNaive);
+      BuildDifferenceSetIndex(enc, sigma, pool, DiffSetBuildMode::kNaive);
   DeltaPEvaluator::WarmState cold;
   cold.table_rows = ViolationTable(sigma, index).fd_masks();
   return std::make_unique<FdSearchContext>(sigma, enc, weights,
@@ -119,6 +120,7 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
   const int threads = GetParam();
   exec::Options eopts;
   eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   std::mt19937_64 rng(0xb10cced + threads);
   for (int round = 0; round < 8; ++round) {
     const int n = 5 + static_cast<int>(rng() % 60);
@@ -133,9 +135,9 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
     DiffSetBuildStats blocked_stats;
     DiffSetBuildStats naive_stats;
     DifferenceSetIndex blocked = BuildDifferenceSetIndex(
-        enc, sigma, eopts, DiffSetBuildMode::kBlocked, &blocked_stats);
+        enc, sigma, pool.get(), DiffSetBuildMode::kBlocked, &blocked_stats);
     DifferenceSetIndex naive = BuildDifferenceSetIndex(
-        enc, sigma, eopts, DiffSetBuildMode::kNaive, &naive_stats);
+        enc, sigma, pool.get(), DiffSetBuildMode::kNaive, &naive_stats);
     ExpectIndexIdentical(blocked, naive);
 
     // The two front doors must agree on the logical pair population even
@@ -154,15 +156,16 @@ TEST_P(BlockedOracle, SearchTracesMatchNaive) {
   const int threads = GetParam();
   exec::Options eopts;
   eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   CardinalityWeight weights;
   std::mt19937_64 rng(0x5ea2c4 + threads);
   for (int round = 0; round < 4; ++round) {
     Instance inst = RandomInstance(rng, 30, 5, 3);
     EncodedInstance enc(inst);
     FDSet sigma = TestSigma();
-    FdSearchContext blocked(sigma, enc, weights, {}, eopts);
+    FdSearchContext blocked(sigma, enc, weights, {}, pool.get());
     std::unique_ptr<FdSearchContext> naive =
-        NaiveContext(sigma, enc, weights, eopts);
+        NaiveContext(sigma, enc, weights, pool.get());
     ASSERT_EQ(blocked.RootDeltaP(), naive->RootDeltaP());
     for (int64_t tau :
          {int64_t{0}, blocked.RootDeltaP() / 2, blocked.RootDeltaP()}) {
@@ -175,23 +178,24 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
   const int threads = GetParam();
   exec::Options eopts;
   eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   CardinalityWeight weights;
   std::mt19937_64 rng(0xca5eb + threads);
   for (int round = 0; round < 4; ++round) {
     Instance inst = RandomInstance(rng, 20, 3, 2 + round);
     EncodedInstance enc(inst);
     FDSet sigma = EmptyLhsSigma();
-    DifferenceSetIndex blocked =
-        BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kBlocked);
-    DifferenceSetIndex naive =
-        BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kNaive);
+    DifferenceSetIndex blocked = BuildDifferenceSetIndex(
+        enc, sigma, pool.get(), DiffSetBuildMode::kBlocked);
+    DifferenceSetIndex naive = BuildDifferenceSetIndex(
+        enc, sigma, pool.get(), DiffSetBuildMode::kNaive);
     ExpectIndexIdentical(blocked, naive);
 
     // Search answers (which materialize the counted group through the
     // cover path) must also agree.
-    FdSearchContext bctx(sigma, enc, weights, {}, eopts);
+    FdSearchContext bctx(sigma, enc, weights, {}, pool.get());
     std::unique_ptr<FdSearchContext> nctx =
-        NaiveContext(sigma, enc, weights, eopts);
+        NaiveContext(sigma, enc, weights, pool.get());
     ASSERT_EQ(bctx.RootDeltaP(), nctx->RootDeltaP());
     ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
                      ModifyFds(*nctx, nctx->RootDeltaP() / 2));
@@ -311,6 +315,7 @@ TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
 TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
   exec::Options eopts;
   eopts.num_threads = 4;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   CardinalityWeight weights;
   std::mt19937_64 rng(0xc01a);
   const int m = 5;
@@ -318,7 +323,7 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
   Instance inst = RandomInstance(rng, 25, m, domain);
   EncodedInstance enc(inst);
   FDSet sigma = TestSigma();
-  FdSearchContext ctx(sigma, enc, weights, {}, eopts);
+  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
 
   for (int step = 0; step < 6; ++step) {
     DeltaBatch delta;
@@ -332,7 +337,7 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
     DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), m);
     inst.ApplyDelta(delta, plan);
     enc.ApplyDelta(delta, plan);
-    ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+    ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
 
     // Column-major mutation must decode back to the mutated rows (codes
     // themselves are encounter-ordered, so only values are comparable
@@ -348,7 +353,7 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
       }
     }
 
-    FdSearchContext fresh(sigma, enc, weights, {}, eopts);
+    FdSearchContext fresh(sigma, enc, weights, {}, pool.get());
     ExpectIndexIdentical(ctx.index(), fresh.index());
     EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
     ExpectSameSearch(ModifyFds(ctx, ctx.RootDeltaP() / 2),
@@ -362,6 +367,7 @@ TEST(ColumnarDelta, EmptyLhsDeltaRebuildsAndMatchesFresh) {
   // delta that creates the FIRST full-disagreement pair.
   exec::Options eopts;
   eopts.num_threads = 2;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   CardinalityWeight weights;
   FDSet sigma = EmptyLhsSigma();
 
@@ -369,7 +375,7 @@ TEST(ColumnarDelta, EmptyLhsDeltaRebuildsAndMatchesFresh) {
   Instance inst(MakeSchema(2));
   for (int64_t v : {0, 1, 2}) inst.AddTuple({Value(v), Value(int64_t{7})});
   EncodedInstance enc(inst);
-  FdSearchContext ctx(sigma, enc, weights, {}, eopts);
+  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
   ASSERT_FALSE(ctx.index().HasCountedGroups());
 
   // The insert disagrees with everyone everywhere: the first counted pair.
@@ -378,9 +384,9 @@ TEST(ColumnarDelta, EmptyLhsDeltaRebuildsAndMatchesFresh) {
   DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), 2);
   inst.ApplyDelta(delta, plan);
   enc.ApplyDelta(delta, plan);
-  ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+  ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
 
-  FdSearchContext fresh(sigma, enc, weights, {}, eopts);
+  FdSearchContext fresh(sigma, enc, weights, {}, pool.get());
   EXPECT_TRUE(ctx.index().HasCountedGroups());
   ExpectIndexIdentical(ctx.index(), fresh.index());
   EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
@@ -393,8 +399,8 @@ TEST(ColumnarDelta, EmptyLhsDeltaRebuildsAndMatchesFresh) {
   DeltaPlan plan2 = PlanDelta(delta2, enc.NumTuples(), 2);
   inst.ApplyDelta(delta2, plan2);
   enc.ApplyDelta(delta2, plan2);
-  ctx.ApplyDelta(enc, plan2.dirty, plan2.remap, eopts);
-  FdSearchContext fresh2(sigma, enc, weights, {}, eopts);
+  ctx.ApplyDelta(enc, plan2.dirty, plan2.remap, pool.get());
+  FdSearchContext fresh2(sigma, enc, weights, {}, pool.get());
   ExpectIndexIdentical(ctx.index(), fresh2.index());
   EXPECT_EQ(ctx.RootDeltaP(), fresh2.RootDeltaP());
 }

@@ -85,27 +85,6 @@ TEST(DiffSetViolates, PerFdSemantics) {
   EXPECT_FALSE(DiffSetViolates(AttrSet{0}, sigma));
 }
 
-TEST(DifferenceSetIndex, ViolatingGroupsFiltersByRelaxation) {
-  EncodedInstance enc(Fig2());
-  Schema s = Fig2().schema();
-  FDSet sigma = FDSet::Parse({"A->B", "C->D"}, s);
-  ConflictGraph cg = BuildConflictGraph(enc, sigma);
-  DifferenceSetIndex index(enc, cg);
-  // Under {CA->B, C->D}: BCD resolved (C in LHS of the first FD);
-  // AD and BD still violate C->D.
-  FDSet relaxed = FDSet::Parse({"C,A->B", "C->D"}, s);
-  auto violating = index.ViolatingGroups(relaxed);
-  EXPECT_EQ(violating.size(), 2u);
-  // Fully satisfied relaxation: nothing violates.
-  FDSet resolved = FDSet::Parse({"D,A->B", "A,B,C->D"}, s);
-  // (AD: first FD sees D in diff->resolved? AD has A... A in LHS, diff
-  //  has A -> pair disagrees on LHS -> resolved; check via the index.)
-  auto left = index.ViolatingGroups(resolved);
-  for (int g : left) {
-    EXPECT_TRUE(DiffSetViolates(index.group(g).diff, resolved));
-  }
-}
-
 TEST(DifferenceSetIndex, ToStringListsGroups) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());

@@ -192,50 +192,19 @@ TEST(ExecEvaluationOracle, ModifyFdsBitIdenticalAcrossThreadsAndTaus) {
       // Warm-memo serial run on the shared context...
       ModifyFdsResult serial = ModifyFds(data.context(), tau);
       // ...must equal a cold-memo run on a fresh context (cache contents
-      // can never change results)...
+      // can never change results).
       FdSearchContext fresh(data.dirty.fds, data.encoded(), data.weights());
       ModifyFdsResult cold = ModifyFds(fresh, tau);
-      // ...and speculative parallel runs at any thread count.
-      for (int threads : {2, 8}) {
-        ModifyFdsOptions opts;
-        opts.exec.num_threads = threads;
-        ModifyFdsResult parallel = ModifyFds(data.context(), tau, opts);
-        for (const ModifyFdsResult* r : {&cold, &parallel}) {
-          EXPECT_EQ(r->stats.states_visited, serial.stats.states_visited);
-          EXPECT_EQ(r->stats.states_generated, serial.stats.states_generated);
-          ASSERT_EQ(r->repair.has_value(), serial.repair.has_value());
-          if (serial.repair.has_value()) {
-            EXPECT_EQ(r->repair->state, serial.repair->state);
-            EXPECT_EQ(r->repair->distc, serial.repair->distc);
-            EXPECT_EQ(r->repair->cover_size, serial.repair->cover_size);
-            EXPECT_EQ(r->repair->delta_p, serial.repair->delta_p);
-          }
-        }
+      EXPECT_EQ(cold.stats.states_visited, serial.stats.states_visited);
+      EXPECT_EQ(cold.stats.states_generated, serial.stats.states_generated);
+      ASSERT_EQ(cold.repair.has_value(), serial.repair.has_value());
+      if (serial.repair.has_value()) {
+        EXPECT_EQ(cold.repair->state, serial.repair->state);
+        EXPECT_EQ(cold.repair->distc, serial.repair->distc);
+        EXPECT_EQ(cold.repair->cover_size, serial.repair->cover_size);
+        EXPECT_EQ(cold.repair->delta_p, serial.repair->delta_p);
       }
     }
-  }
-}
-
-TEST(ExecEvaluationOracle, RepairDataShardedBitIdentical) {
-  ExperimentData data = MakeData(31);
-  Rng rng_serial(9);
-  DataRepairResult serial = RepairData(data.encoded(), data.dirty.fds,
-                                       &rng_serial);
-  for (int threads : {2, 8}) {
-    Rng rng(9);
-    exec::Options eopts;
-    eopts.num_threads = threads;
-    DataRepairResult sharded =
-        RepairData(data.encoded(), data.dirty.fds, &rng, eopts);
-    EXPECT_EQ(sharded.cover_size, serial.cover_size) << threads;
-    EXPECT_EQ(sharded.change_bound, serial.change_bound) << threads;
-    ASSERT_EQ(sharded.changed_cells.size(), serial.changed_cells.size());
-    for (size_t i = 0; i < serial.changed_cells.size(); ++i) {
-      EXPECT_EQ(sharded.changed_cells[i].tuple, serial.changed_cells[i].tuple);
-      EXPECT_EQ(sharded.changed_cells[i].attr, serial.changed_cells[i].attr);
-    }
-    EXPECT_EQ(sharded.repaired.Decode().ToTable(),
-              serial.repaired.Decode().ToTable());
   }
 }
 

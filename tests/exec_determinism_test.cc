@@ -1,7 +1,7 @@
 // The exec/ determinism contract: every parallel code path produces output
 // BIT-IDENTICAL to serial execution for any thread count — sharded
-// violation detection, speculative successor evaluation in ModifyFds, and
-// whole repairs through RunRepair, on a generated instance.
+// violation detection, sharded context construction, and τ sweeps of
+// whole repairs and searches, on a generated instance.
 
 #include <memory>
 #include <string>
@@ -79,58 +79,6 @@ TEST(ExecDeterminism, ViolatingPairsShardedBitIdentical) {
   }
 }
 
-// The acceptance-criteria test: Algorithm 1 (RunRepair) output is
-// byte-identical at 1, 2, and 8 threads, across several trust levels
-// (including τ values where the search must relax FDs and where it must
-// repair cells).
-TEST(ExecDeterminism, RepairDataAndFdsIdenticalAcrossThreadCounts) {
-  ExperimentData data = MakeData();
-  const Schema& schema = data.dirty_instance().schema();
-  for (double tau_r : {0.0, 0.15, 0.5, 1.0}) {
-    int64_t tau = TauFromRelative(tau_r, data.root_delta_p);
-    RepairOptions serial_opts;
-    std::optional<Repair> serial =
-        RunRepair(data.context(), data.encoded(), tau, serial_opts).repair;
-    std::string want = Fingerprint(serial, schema);
-    for (int threads : {2, 8}) {
-      RepairOptions opts;
-      opts.search.exec.num_threads = threads;
-      std::optional<Repair> parallel =
-          RunRepair(data.context(), data.encoded(), tau, opts).repair;
-      EXPECT_EQ(Fingerprint(parallel, schema), want)
-          << "tau_r=" << tau_r << " threads=" << threads;
-    }
-  }
-}
-
-// Search-internal determinism: the speculative engine must visit the exact
-// same states in the exact same order as the lazy serial engine — checked
-// via the visited/generated counters, which count main-loop events only.
-TEST(ExecDeterminism, SearchScheduleIdenticalAcrossThreadCounts) {
-  ExperimentData data = MakeData();
-  int64_t tau = TauFromRelative(0.2, data.root_delta_p);
-  for (SearchMode mode : {SearchMode::kAStar, SearchMode::kBestFirst}) {
-    ModifyFdsOptions serial_opts;
-    serial_opts.mode = mode;
-    ModifyFdsResult serial = ModifyFds(data.context(), tau, serial_opts);
-    for (int threads : {2, 8}) {
-      ModifyFdsOptions opts;
-      opts.mode = mode;
-      opts.exec.num_threads = threads;
-      ModifyFdsResult parallel = ModifyFds(data.context(), tau, opts);
-      EXPECT_EQ(parallel.stats.states_visited, serial.stats.states_visited);
-      EXPECT_EQ(parallel.stats.states_generated,
-                serial.stats.states_generated);
-      ASSERT_EQ(parallel.repair.has_value(), serial.repair.has_value());
-      if (serial.repair.has_value()) {
-        EXPECT_EQ(parallel.repair->state, serial.repair->state);
-        EXPECT_EQ(parallel.repair->distc, serial.repair->distc);
-        EXPECT_EQ(parallel.repair->delta_p, serial.repair->delta_p);
-      }
-    }
-  }
-}
-
 TEST(ExecDeterminism, SweepMatchesIndependentSerialRuns) {
   ExperimentData data = MakeData(250);
   std::vector<int64_t> taus = exec::TauGridFromRelative(
@@ -189,7 +137,8 @@ TEST(ExecDeterminism, ContextConstructionShardedBitIdentical) {
   exec::Options eight;
   eight.num_threads = 8;
   FdSearchContext sharded_ctx(data.dirty.fds, data.encoded(), data.weights(),
-                              HeuristicOptions{}, eight);
+                              HeuristicOptions{},
+                              exec::MakePool(eight).get());
   ASSERT_EQ(sharded_ctx.index().size(), serial_ctx.index().size());
   for (int g = 0; g < serial_ctx.index().size(); ++g) {
     EXPECT_EQ(sharded_ctx.index().group(g).diff,

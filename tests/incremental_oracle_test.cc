@@ -113,13 +113,14 @@ TEST_P(IncrementalOracle, RandomInterleavingsMatchRebuild) {
   const int domain = 4;
   exec::Options eopts;
   eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   CardinalityWeight weights;  // instance-independent: isolates the index
 
   std::mt19937_64 rng(0xbe5ca1e5 + threads);
   Instance inst = RandomInstance(rng, 40, m, domain);
   EncodedInstance enc(inst);
   FDSet sigma = TestSigma();
-  FdSearchContext ctx(sigma, enc, weights, {}, eopts);
+  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
   const uint64_t version0 = ctx.version();
 
   for (int step = 0; step < 12; ++step) {
@@ -127,7 +128,7 @@ TEST_P(IncrementalOracle, RandomInterleavingsMatchRebuild) {
     DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), m);
     inst.ApplyDelta(delta, plan);
     enc.ApplyDelta(delta, plan);
-    ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+    ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
 
     // The encoded instance mirrors the plain one positionally.
     ASSERT_EQ(enc.NumTuples(), inst.NumTuples());
@@ -337,7 +338,7 @@ TEST(ExecIncrementalVersion, SweepAfterDeltaMatchesFreshContext) {
   DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), 5);
   inst.ApplyDelta(delta, plan);
   enc.ApplyDelta(delta, plan);
-  ctx.ApplyDelta(enc, plan.dirty, plan.remap);
+  ctx.ApplyDelta(enc, plan.dirty, plan.remap, nullptr);
 
   FdSearchContext fresh(sigma, enc, weights);
   ASSERT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());

@@ -100,6 +100,99 @@ TEST(ServiceLineDecoder, OversizedLineIsBoundedAndResyncs) {
   EXPECT_EQ(lines[1].text, "ok");
 }
 
+/// One seeded mutation of an NDJSON stream: a bit flip, a truncation, a
+/// duplicated span, a stray quote or '\r', a run near or past the line
+/// cap, or a number overwritten with a non-finite spelling.
+std::string MutateStream(std::string text, size_t max_line,
+                         std::mt19937_64& rng) {
+  static const char* const kSpecial[] = {"nan", "-nan", "inf", "-inf",
+                                         "1e999", "NaN"};
+  if (text.empty()) return text;
+  const size_t pos = rng() % text.size();
+  switch (rng() % 6) {
+    case 0:
+      text[pos] = static_cast<char>(text[pos] ^ (1 << (rng() % 8)));
+      break;
+    case 1:
+      text.resize(pos);
+      break;
+    case 2: {
+      const size_t len = 1 + rng() % std::min<size_t>(64, text.size() - pos);
+      text.insert(pos, text.substr(pos, len));
+      break;
+    }
+    case 3:
+      text.insert(pos, 1, rng() % 2 == 0 ? '"' : '\r');
+      break;
+    case 4: {
+      // Lengths straddling the cap, and far past it.
+      const size_t len = rng() % 2 == 0 ? max_line - 2 + rng() % 5
+                                        : max_line * (2 + rng() % 8);
+      text.insert(pos, std::string(len, 'x'));
+      break;
+    }
+    default: {
+      const size_t digit = text.find_first_of("0123456789", pos);
+      if (digit == std::string::npos) break;
+      text.replace(digit, 1, kSpecial[rng() % std::size(kSpecial)]);
+      break;
+    }
+  }
+  return text;
+}
+
+/// Seeded mutation fuzz of the NDJSON framing: every mutant, fed in random
+/// chunk sizes, pops only lines within the cap (or oversized markers),
+/// never buffers past the cap, and frames exactly as a single Feed does.
+TEST(ServiceLineDecoder, MutationFuzz) {
+  constexpr size_t kMaxLine = 96;
+  const std::string seed =
+      "{\"op\":\"repair\",\"tenant\":\"t0\",\"tau_r\":0.5,\"id\":1}\n"
+      "{\"op\":\"apply_delta\",\"tenant\":\"t0\",\"deletes\":[3]}\r\n"
+      "\n"
+      "{\"op\":\"stats\",\"id\":22}\n"
+      "{\"op\":\"repair\",\"tenant\":\"t1\",\"tau\":7,\"budget\":100}";
+  std::mt19937_64 rng(0x11de0de);
+  constexpr int kMutants = 10000;
+  int oversized = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string mutant = seed;
+    for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+      mutant = MutateStream(std::move(mutant), kMaxLine, rng);
+    }
+    LineDecoder whole(kMaxLine);
+    whole.Feed(mutant.data(), mutant.size());
+    const std::vector<LineDecoder::Line> want = DrainDecoder(&whole);
+
+    LineDecoder chunked(kMaxLine);
+    std::vector<LineDecoder::Line> got;
+    for (size_t at = 0; at < mutant.size();) {
+      const size_t n = std::min<size_t>(1 + rng() % 40, mutant.size() - at);
+      chunked.Feed(mutant.data() + at, n);
+      at += n;
+      ASSERT_LE(chunked.partial_bytes(), kMaxLine) << mutant;
+      for (LineDecoder::Line& l : DrainDecoder(&chunked)) {
+        got.push_back(std::move(l));
+      }
+    }
+    ASSERT_EQ(got.size(), want.size()) << mutant;
+    for (size_t j = 0; j < got.size(); ++j) {
+      const LineDecoder::Line& l = got[j];
+      EXPECT_EQ(l.oversized, want[j].oversized) << mutant;
+      EXPECT_EQ(l.text, want[j].text) << mutant;
+      if (l.oversized) {
+        ++oversized;
+        EXPECT_TRUE(l.text.empty()) << mutant;
+      } else {
+        EXPECT_FALSE(l.text.empty()) << mutant;
+        EXPECT_LE(l.text.size(), kMaxLine) << mutant;
+        EXPECT_EQ(l.text.find('\n'), std::string::npos) << mutant;
+      }
+    }
+  }
+  EXPECT_GT(oversized, 0);
+}
+
 // --- QuotaManager --------------------------------------------------------
 
 TEST(ServiceQuota, TokenBucketRefillsAtRateUpToBurst) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace retrust {
 namespace {
 
@@ -57,6 +59,20 @@ TEST(Value, HashConsistentWithEquality) {
   // Not required, but catches degenerate implementations:
   EXPECT_NE(Value(int64_t{1}).Hash(), Value(int64_t{2}).Hash());
   EXPECT_NE(Value::Variable(0, 0).Hash(), Value::Variable(0, 1).Hash());
+}
+
+// Doubles compare by bit pattern, the key Hash() uses, so equality stays an
+// equivalence relation that agrees with the hash: NaN equals itself, and
+// 0.0 and -0.0 (equal under ==, different bits) are distinct values.
+TEST(Value, DoublesCompareByBitPattern) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Value(nan), Value(nan));
+  EXPECT_EQ(Value(nan).Hash(), Value(nan).Hash());
+  EXPECT_NE(Value(0.0), Value(-0.0));
+  EXPECT_EQ(Value(-0.0), Value(-0.0));
+  EXPECT_EQ(Value(-0.0).Hash(), Value(-0.0).Hash());
+  EXPECT_EQ(Value(1.5), Value(1.5));
+  EXPECT_NE(Value(nan), Value(1.5));
 }
 
 TEST(Value, ToString) {
