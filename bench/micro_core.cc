@@ -81,16 +81,16 @@ void BM_DiffSetIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffSetIndex)->Arg(1000)->Arg(4000);
 
-// Sharded violation detection (conflict graph + index) vs thread count;
-// threads=1 exercises the serial fast path of the same entry points.
+// Sharded violation detection vs thread count: the blocked difference-set
+// index build that Session::Open runs; threads=1 exercises the serial fast
+// path of the same entry point.
 void BM_ViolationDetectionSharded(benchmark::State& state) {
   ExperimentData& d = SharedData(4000);
   std::unique_ptr<exec::ThreadPool> pool =
       exec::MakePool({static_cast<int>(state.range(0))});
   for (auto _ : state) {
-    ConflictGraph cg = BuildConflictGraph(d.encoded(), d.dirty.fds,
-                                          pool.get());
-    DifferenceSetIndex idx(d.encoded(), cg, pool.get());
+    DifferenceSetIndex idx =
+        BuildDifferenceSetIndex(d.encoded(), d.dirty.fds, pool.get());
     benchmark::DoNotOptimize(idx.size());
   }
 }

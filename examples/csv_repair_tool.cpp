@@ -221,7 +221,7 @@ int RunRepair(Result<Session> session, double tau_r,
   Result<int64_t> tau = CheckedTauFromRelative(tau_r, root);
   if (!tau.ok()) return Fail(tau.status());
 
-  std::printf("tuples: %d   FDs: %s\n", session->instance().NumTuples(),
+  std::printf("tuples: %d   FDs: %s\n", session->NumTuples(),
               session->fds().ToString(schema).c_str());
   std::printf("cell-change budget: tau = %lld (tau_r = %.0f%% of deltaP = "
               "%lld)\n\n",
@@ -270,11 +270,11 @@ int RunRepair(Result<Session> session, double tau_r,
               repair.sigma_prime.ToString(schema).c_str(), repair.distc);
   std::printf("cell edits: %zu\n", repair.changed_cells.size());
   Instance repaired = repair.data.Decode();
-  const Instance& original = session->instance();
+  const EncodedInstance& original = session->data();
   for (const CellRef& c : repair.changed_cells) {
     std::printf("  row %d, %s: %s -> %s\n", c.tuple + 1,
                 schema.name(c.attr).c_str(),
-                original.At(c.tuple, c.attr).ToString().c_str(),
+                original.DecodeCell(c.tuple, c.attr).ToString().c_str(),
                 repaired.At(c.tuple, c.attr)
                     .ToString(schema.name(c.attr))
                     .c_str());

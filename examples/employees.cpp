@@ -105,7 +105,10 @@ int main() {
     for (const CellRef& c : repair.changed_cells) {
       std::printf("  t%d[%s]: %s -> %s\n", c.tuple + 1,
                   schema.name(c.attr).c_str(),
-                  session->instance().At(c.tuple, c.attr).ToString().c_str(),
+                  session->data()
+                      .DecodeCell(c.tuple, c.attr)
+                      .ToString()
+                      .c_str(),
                   repair.data.DecodeCell(c.tuple, c.attr)
                       .ToString(schema.name(c.attr))
                       .c_str());

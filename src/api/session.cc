@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "src/persist/snapshot.h"
@@ -119,45 +120,57 @@ Result<int64_t> CheckedTauFromRelative(double tau_r, int64_t root_delta_p) {
   return TauFromRelative(tau_r, root_delta_p);
 }
 
-Session::Session(Instance data, EncodedInstance encoded, SessionOptions opts)
-    : instance_(std::make_unique<Instance>(std::move(data))),
-      encoded_(std::make_unique<EncodedInstance>(std::move(encoded))),
+Session::Session(EncodedInstance encoded, SessionOptions opts)
+    : encoded_(std::make_unique<EncodedInstance>(std::move(encoded))),
       opts_(opts),
       weights_(MakeWeights(opts.weights, *encoded_)),
       state_mu_(std::make_unique<std::shared_mutex>()),
       own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
                                             : nullptr) {}
 
-Result<Session> Session::Open(Instance data, FDSet sigma,
+Result<Session> Session::Open(const Instance& data, FDSet sigma,
                               SessionOptions opts) {
-  Status status = ValidateFds(sigma, data.schema().NumAttrs());
-  if (!status.ok()) return status;
   try {
-    EncodedInstance encoded(data);
-    Session session(std::move(data), std::move(encoded), std::move(opts));
-    session.BuildContext(sigma);
-    return session;
+    return OpenEncoded(EncodedInstance(data), std::move(sigma),
+                       std::move(opts));
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
   }
 }
 
-Result<Session> Session::Open(Instance data,
+Result<Session> Session::Open(const Instance& data,
                               const std::vector<std::string>& fd_texts,
                               SessionOptions opts) {
   Result<FDSet> sigma = ParseFds(fd_texts, data.schema());
   if (!sigma.ok()) return sigma.status();
-  return Open(std::move(data), std::move(*sigma), std::move(opts));
+  return Open(data, std::move(*sigma), std::move(opts));
 }
 
 Result<Session> Session::OpenCsv(const std::string& path,
                                  const std::vector<std::string>& fd_texts,
                                  SessionOptions opts) {
+  // The parsed table is freed once encoded, before the context build.
+  std::optional<EncodedInstance> encoded;
   try {
-    Instance data = ReadCsvFile(path);
-    return Open(std::move(data), fd_texts, std::move(opts));
+    encoded.emplace(ReadCsvFile(path));
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kIoError, e.what());
+  }
+  Result<FDSet> sigma = ParseFds(fd_texts, encoded->schema());
+  if (!sigma.ok()) return sigma.status();
+  return OpenEncoded(std::move(*encoded), std::move(*sigma), std::move(opts));
+}
+
+Result<Session> Session::OpenEncoded(EncodedInstance data, FDSet sigma,
+                                     SessionOptions opts) {
+  Status status = ValidateFds(sigma, data.NumAttrs());
+  if (!status.ok()) return status;
+  try {
+    Session session(std::move(data), std::move(opts));
+    session.BuildContext(sigma);
+    return session;
+  } catch (const std::exception& e) {
+    return Status::Error(StatusCode::kInternal, e.what());
   }
 }
 
@@ -187,10 +200,7 @@ Result<Session> Session::OpenSnapshot(const std::string& path,
   Status status = ValidateFds(data->sigma, data->encoded.NumAttrs());
   if (!status.ok()) return status;
   try {
-    Instance decoded = data->encoded.Decode();
-    decoded.RestoreNextVarCounters(std::move(data->instance_next_var));
-    Session session(std::move(decoded), std::move(data->encoded),
-                    std::move(opts));
+    Session session(std::move(data->encoded), std::move(opts));
     session.context_ = std::make_unique<FdSearchContext>(
         data->sigma, *session.encoded_, *session.weights_,
         session.opts_.heuristic, std::move(data->index),
@@ -226,7 +236,6 @@ Status Session::SaveSnapshot(const std::string& path) const {
     view.weight_model = static_cast<uint8_t>(opts_.weights);
     view.heuristic = opts_.heuristic;
     view.encoded = encoded_.get();
-    view.instance_next_var = &instance_->next_var_counters();
     view.sigma = &fds();
     view.index = &context_->index();
     view.warm = context_->evaluator().ExportWarmState();
@@ -355,7 +364,6 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     if (!logged.ok()) return logged;
   }
   try {
-    instance_->ApplyDelta(delta, plan);
     encoded_->ApplyDelta(delta, plan);
     // Memoized projections are stale against the mutated instance; they
     // refill lazily on the next Weight() call.
@@ -583,11 +591,14 @@ int64_t Session::RootDeltaP() const {
 
 size_t Session::BytesEstimate() const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  // 24 bytes/cell covers the encoded code plus the decoded value for
-  // typical data.
-  const size_t cells = static_cast<size_t>(encoded_->NumTuples()) *
-                       static_cast<size_t>(encoded_->NumAttrs());
-  return context_bytes_ + cells * 24;
+  // A code per cell; a dictionary constant is held twice (code order and
+  // lookup index) plus its index node.
+  size_t bytes = context_bytes_;
+  for (AttrId a = 0; a < encoded_->NumAttrs(); ++a) {
+    bytes += encoded_->column(a).size() * sizeof(int32_t) +
+             encoded_->DictionarySize(a) * (2 * sizeof(Value) + 32);
+  }
+  return bytes;
 }
 
 }  // namespace retrust

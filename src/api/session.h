@@ -7,6 +7,8 @@
 // and the Σ and weight model it was opened or restored with — and the one
 // FdSearchContext built over it. The paper's relative-trust workflow fixes
 // (Σ, I) and varies τ; a caller that wants another Σ opens another Session.
+// The dataset is held once, as the EncodedInstance the algorithms read;
+// no decoded Value table is kept (data().Decode() makes one on demand).
 //
 // All failures surface through the Status/Result<T> model (status.h); the
 // facade translates internal exceptions and optionals at the boundary, so
@@ -170,12 +172,12 @@ class Session {
   /// kSchemaMismatch when an FD references attributes outside the schema
   /// and kInvalidFd when one is trivial (A ∈ X). Builds the initial
   /// context eagerly, so RootDeltaP() is immediately available.
-  static Result<Session> Open(Instance data, FDSet sigma,
+  static Result<Session> Open(const Instance& data, FDSet sigma,
                               SessionOptions opts = {});
 
   /// Same, parsing Σ from texts like {"City->Zip"}; parse failures come
   /// back as kInvalidFd.
-  static Result<Session> Open(Instance data,
+  static Result<Session> Open(const Instance& data,
                               const std::vector<std::string>& fd_texts,
                               SessionOptions opts = {});
 
@@ -247,7 +249,7 @@ class Session {
   uint64_t DataVersion() const;
 
   /// Live cardinality, safe against a concurrent Apply (reads under the
-  /// snapshot lock) — unlike instance().NumTuples(), which is not.
+  /// snapshot lock) — unlike data().NumTuples(), which is not.
   int NumTuples() const;
 
   /// Algorithm 1 at the request's τ. Error codes: kInvalidArgument (no τ,
@@ -285,13 +287,13 @@ class Session {
   /// is not synchronized. The value-returning observers (DataVersion,
   /// NumTuples, RootDeltaP, BytesEstimate) and the request methods are the
   /// Apply-concurrency-safe surface.
-  const Instance& instance() const { return *instance_; }
-  const Schema& schema() const { return instance_->schema(); }
+  const Schema& schema() const { return encoded_->schema(); }
   const FDSet& fds() const { return context_->sigma(); }
   const SessionOptions& options() const { return opts_; }
 
   /// Coarse resident-memory estimate: the context's edge-weighted bytes
-  /// plus the dataset cells (encoded codes + decoded values). Precision is
+  /// plus the dataset (one code per cell and the dictionary constants —
+  /// the session keeps no decoded copy). Precision is
   /// not the point — a tenant byte budget only needs relative ordering
   /// between big and small sessions. Safe against a concurrent Apply.
   size_t BytesEstimate() const;
@@ -310,7 +312,11 @@ class Session {
   /// OpenSnapshot hands over the saved encoding directly — re-encoding
   /// would reset the fresh-variable counters, breaking bit-identical
   /// variable allocation in post-restore repairs. Builds no context.
-  Session(Instance data, EncodedInstance encoded, SessionOptions opts);
+  Session(EncodedInstance encoded, SessionOptions opts);
+
+  /// Open over an already-encoded dataset.
+  static Result<Session> OpenEncoded(EncodedInstance data, FDSet sigma,
+                                     SessionOptions opts);
 
   /// Builds the context for `sigma` over the live dataset from scratch
   /// (Open, and Apply's fallback when a patch fails).
@@ -337,9 +343,9 @@ class Session {
                                          MakeJob make_job, RunJobs run,
                                          SlotOutcome slot) const;
 
-  std::unique_ptr<Instance> instance_;        ///< heap-pinned: encoded_ is
-  std::unique_ptr<EncodedInstance> encoded_;  ///< referenced by weights_ and
-  SessionOptions opts_;                       ///< context_
+  /// Heap-pinned: weights_ and context_ reference it.
+  std::unique_ptr<EncodedInstance> encoded_;
+  SessionOptions opts_;
   /// The one weight function, built from opts_.weights over *encoded_.
   std::unique_ptr<WeightFunction> weights_;
   std::unique_ptr<FdSearchContext> context_;

@@ -21,17 +21,18 @@ namespace retrust {
 using WeightKind = WeightModel;
 
 /// Everything a repair experiment needs, prepared once and reused across
-/// τ sweeps / search modes. The repair wiring (Id copy, encoding, weights,
-/// search context, pool) lives inside `session` — the same facade
-/// downstream users get; the accessors below reach through it for the
-/// kernels the micro benchmarks and determinism tests drive directly.
+/// τ sweeps / search modes. The repair wiring (encoding, weights, search
+/// context, pool) lives inside `session` — the same facade downstream
+/// users get; the accessors below reach through it for the kernels the
+/// micro benchmarks and determinism tests drive directly. The decoded Id
+/// is `dirty.data`; the session holds only its encoding.
 struct ExperimentData {
   GeneratedData clean;          ///< Ic, Σc
   PerturbedData dirty;          ///< Id, Σd + ground truth
   std::unique_ptr<Session> session;  ///< facade over (Id, Σd)
   int64_t root_delta_p = 0;     ///< δP(Σd, Id): τr = 100% maps here
 
-  const Instance& dirty_instance() const { return session->instance(); }
+  const Instance& dirty_instance() const { return dirty.data; }
   const EncodedInstance& encoded() const { return session->data(); }
   const FdSearchContext& context() const { return session->context(); }
   const WeightFunction& weights() const { return session->weights(); }

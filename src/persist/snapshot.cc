@@ -21,7 +21,7 @@ namespace {
 //   schema{u32 m; per attr: str name, u8 type},
 //   u32 n, per attr dictionary{u64 count; tagged values},
 //   codes column-major (m columns of n i32 each, attribute order),
-//   encoded next_var (m i32), instance next_var (m i32),
+//   next_var (m i32),
 //   sigma{u32 count; per FD: u64 lhs, i32 rhs},
 //   index{u32 groups; per group: u64 diff, i64 counted, u64 edges;
 //         i32 pairs — counted groups carry zero materialized edges},
@@ -163,7 +163,6 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
     for (int32_t code : inst.column(a)) w.I32(code);
   }
   for (int32_t counter : inst.next_var_counters()) w.I32(counter);
-  for (int32_t counter : *view.instance_next_var) w.I32(counter);
 
   w.U32(static_cast<uint32_t>(view.sigma->size()));
   for (const FD& fd : view.sigma->fds()) {
@@ -292,13 +291,10 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     }
     std::vector<int32_t> next_var(m);
     for (int32_t& counter : next_var) counter = r.I32();
-    data.instance_next_var.resize(m);
-    for (int32_t& counter : data.instance_next_var) counter = r.I32();
     // Fresh-variable counters are next indices: a negative one would make
     // the next "variable" code a constant code.
-    auto negative = [](int32_t counter) { return counter < 0; };
-    if (std::ranges::any_of(next_var, negative) ||
-        std::ranges::any_of(data.instance_next_var, negative)) {
+    if (std::ranges::any_of(next_var,
+                            [](int32_t counter) { return counter < 0; })) {
       return IoError("snapshot '" + path + "' has a negative variable counter");
     }
     data.encoded =

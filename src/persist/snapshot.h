@@ -4,7 +4,7 @@
 //
 // A snapshot serializes everything a retrust::Session needs to answer
 // requests WITHOUT re-running the O(n²) conflict-graph/difference-set
-// build: the dictionary-encoded instance (with both fresh-variable
+// build: the dictionary-encoded instance (with its fresh-variable
 // counters), Σ, the difference-set index, the violation table's incidence
 // rows, and the cover memo's cached values. Loading is a linear read plus
 // cheap reconstructions (dictionary indexes, candidate lists) — the
@@ -49,11 +49,14 @@ namespace retrust::persist {
 inline constexpr char kSnapshotMagic[8] = {'R', 'T', 'S', 'N',
                                            'A', 'P', 'S', 'H'};
 /// Version history: v1 stored row-major cell codes and edge-only
-/// difference-set groups; v2 (current) stores column-major codes (one
-/// contiguous column per attribute, matching EncodedInstance's SoA layout)
-/// and a per-group counted-pair field for full-disagreement groups whose
-/// edges are never materialized. v1 files report kVersionMismatch.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// difference-set groups; v2 stored column-major codes (one contiguous
+/// column per attribute, matching EncodedInstance's SoA layout) and a
+/// per-group counted-pair field for full-disagreement groups whose edges
+/// are never materialized; v3 (current) drops v2's second fresh-variable
+/// counter array, which mirrored a decoded instance the session no longer
+/// keeps — the encoded counters alone drive variable allocation. v1 and
+/// v2 files report kVersionMismatch and must be re-saved.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// The (Σ, weights, heuristic) identity of a snapshot: a session may only
 /// adopt a snapshot whose fingerprint matches its own configuration.
@@ -77,7 +80,6 @@ struct SnapshotView {
   uint8_t weight_model = 0;
   HeuristicOptions heuristic;
   const EncodedInstance* encoded = nullptr;
-  const std::vector<int32_t>* instance_next_var = nullptr;
   const FDSet* sigma = nullptr;
   const DifferenceSetIndex* index = nullptr;
   DeltaPEvaluator::WarmState warm;
@@ -92,7 +94,6 @@ struct SnapshotData {
   uint8_t weight_model = 0;
   HeuristicOptions heuristic;
   EncodedInstance encoded;
-  std::vector<int32_t> instance_next_var;
   FDSet sigma;
   DifferenceSetIndex index;
   DeltaPEvaluator::WarmState warm;

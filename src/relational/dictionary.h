@@ -112,6 +112,8 @@ class EncodedInstance {
   /// t*m + a layout (tests, debugging). O(n·m) — not a hot-path surface.
   std::vector<int32_t> RowMajorCodes() const;
 
+  /// Serialized by src/persist/: cell codes alone don't determine them (a
+  /// delta may have used indices whose variables were later overwritten).
   const std::vector<int32_t>& next_var_counters() const { return next_var_; }
 
   /// Rebuilds an encoded instance from its serialized parts (the inverse

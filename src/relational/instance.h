@@ -70,17 +70,6 @@ class Instance {
     return Value::Variable(a, next_var_index_[a]++);
   }
 
-  /// Per-attribute fresh-variable counters — serialized by src/persist/ so
-  /// a restored instance keeps allocating variables where this one stopped
-  /// (cell values alone don't determine the counters: a repair may have
-  /// consumed indices whose variables were later overwritten).
-  const std::vector<int32_t>& next_var_counters() const {
-    return next_var_index_;
-  }
-  void RestoreNextVarCounters(std::vector<int32_t> counters) {
-    next_var_index_ = std::move(counters);
-  }
-
   /// Cells whose values differ between *this and `other` (same schema &
   /// cardinality required): the paper's Δd(I, I').
   std::vector<CellRef> DiffCells(const Instance& other) const;

@@ -186,7 +186,7 @@ TEST(IncrementalEdge, EmptyDeltaIsANoOp) {
   EXPECT_EQ(stats->groups_preserved + stats->groups_changed, 0);  // no patch
   EXPECT_EQ(session->DataVersion(), version);  // empty deltas don't bump
   EXPECT_EQ(session->RootDeltaP(), root);
-  EXPECT_EQ(session->instance().NumTuples(), 20);
+  EXPECT_EQ(session->NumTuples(), 20);
 }
 
 TEST(IncrementalEdge, DeleteEverything) {
@@ -201,7 +201,7 @@ TEST(IncrementalEdge, DeleteEverything) {
   Result<ApplyStats> stats = session->Apply(delta);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->num_tuples, 0);
-  EXPECT_EQ(session->instance().NumTuples(), 0);
+  EXPECT_EQ(session->NumTuples(), 0);
   EXPECT_EQ(session->RootDeltaP(), 0);
 
   // An empty relation satisfies everything: tau = 0 repairs with no edits.
@@ -213,8 +213,8 @@ TEST(IncrementalEdge, DeleteEverything) {
   DeltaBatch refill;
   for (int i = 0; i < 10; ++i) refill.Insert(RandomTuple(rng, 5, 2));
   ASSERT_TRUE(session->Apply(refill).ok());
-  EXPECT_EQ(session->instance().NumTuples(), 10);
-  Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+  EXPECT_EQ(session->NumTuples(), 10);
+  Result<Session> fresh = Session::Open(session->data().Decode(), TestSigma());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP());
 }
@@ -270,7 +270,7 @@ TEST(IncrementalEdge, InvalidDeltasRejectedBeforeMutating) {
   mixed.Insert(RandomTuple(rng, 5, 3)).Delete(42);
   EXPECT_EQ(session->Apply(mixed).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->instance().NumTuples(), 10);
+  EXPECT_EQ(session->NumTuples(), 10);
   EXPECT_EQ(session->RootDeltaP(), root);
   EXPECT_EQ(session->DataVersion(), version);
 }
@@ -287,11 +287,12 @@ TEST(IncrementalSession, ApplyMatchesFreshOpen) {
 
   for (int step = 0; step < 6; ++step) {
     DeltaBatch delta =
-        RandomDelta(rng, session->instance().NumTuples(), 5, 3);
+        RandomDelta(rng, session->NumTuples(), 5, 3);
     Result<ApplyStats> stats = session->Apply(delta);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
-    Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+    Result<Session> fresh =
+        Session::Open(session->data().Decode(), TestSigma());
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP()) << "step " << step;
 
@@ -374,7 +375,7 @@ TEST(ExecIncrementalVersion, SessionBatchesWorkAcrossApplies) {
       ASSERT_TRUE(r.ok() ||
                   r.status().code() == StatusCode::kNoRepairWithinTau);
     }
-    DeltaBatch delta = RandomDelta(rng, session->instance().NumTuples(),
+    DeltaBatch delta = RandomDelta(rng, session->NumTuples(),
                                    5, 3);
     ASSERT_TRUE(session->Apply(delta).ok());
   }
@@ -413,7 +414,7 @@ TEST(ExecIncrementalVersion, ConcurrentAppliesAndRequestsStayConsistent) {
     std::mt19937_64 writer_rng(17);
     for (int step = 0; step < 10; ++step) {
       DeltaBatch delta = RandomDelta(writer_rng,
-                                     session->instance().NumTuples(), 5, 3);
+                                     session->NumTuples(), 5, 3);
       Result<ApplyStats> stats = session->Apply(delta);
       if (!stats.ok()) failures.fetch_add(1);
     }
@@ -421,7 +422,7 @@ TEST(ExecIncrementalVersion, ConcurrentAppliesAndRequestsStayConsistent) {
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+  Result<Session> fresh = Session::Open(session->data().Decode(), TestSigma());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP());
 }

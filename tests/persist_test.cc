@@ -183,6 +183,54 @@ TEST(SnapshotRoundTrip, DataVersionSurvivesTheFile) {
   EXPECT_EQ(restored->NumTuples(), 5);
 }
 
+// The encoded instance's fresh-variable counters are the only ones a
+// snapshot carries, and they alone must drive variable allocation after a
+// restore. Deltas leave every counter at 10 although the cells only hold
+// variable 7 (indices 0-6 were never used, and variable 9 was overwritten),
+// so counters recomputed from the cells would allocate differently.
+TEST(SnapshotRoundTrip, FreshVariableCountersSurviveTheFile) {
+  WorkloadData data = MakeWorkload(120);
+  Result<Session> original = Session::Open(data.dirty, data.sigma);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  const int m = data.dirty.NumAttrs();
+  DeltaBatch gap;
+  for (AttrId a = 0; a < m; ++a) {
+    gap.Update(a + 1, a, Value::Variable(a, 7));
+    gap.Update(a + 40, a, Value::Variable(a, 9));
+  }
+  DeltaBatch overwrite;
+  for (AttrId a = 0; a < m; ++a) {
+    overwrite.Update(a + 40, a, data.dirty.At(a + 40, a));
+  }
+  ASSERT_TRUE(original->Apply(gap).ok());
+  ASSERT_TRUE(original->Apply(overwrite).ok());
+
+  // The grid must actually allocate past the gap, or the comparison
+  // below would not exercise the counters.
+  bool allocated = false;
+  for (const Result<RepairResponse>& r :
+       original->RepairMany(OracleRequests())) {
+    if (!r.ok()) continue;
+    for (const CellRef& c : r->repair.changed_cells) {
+      const int32_t code = r->repair.data.At(c.tuple, c.attr);
+      allocated |= IsVariableCode(code) && VariableIndexOfCode(code) >= 10;
+    }
+  }
+  ASSERT_TRUE(allocated);
+
+  const std::string path = TempPath("variables.snap");
+  ASSERT_TRUE(original->SaveSnapshot(path).ok());
+  for (int threads : {1, 4}) {
+    SessionOptions opts;
+    opts.exec.num_threads = threads;
+    Result<Session> restored = Session::OpenSnapshot(path, opts);
+    ASSERT_TRUE(restored.ok())
+        << threads << ": " << restored.status().ToString();
+    ExpectSameAnswers(*original, *restored,
+                      ("threads=" + std::to_string(threads)).c_str());
+  }
+}
+
 // --- Hostile bytes --------------------------------------------------------
 
 class SnapshotCorruption : public ::testing::Test {
@@ -239,21 +287,26 @@ TEST_F(SnapshotCorruption, BitFlipAnywhereIsIoError) {
 TEST_F(SnapshotCorruption, FutureFormatVersionIsVersionMismatch) {
   // Patch the version field and RE-COMPUTE the checksum, so the only
   // thing wrong with the file is the version — the reader must classify
-  // it as kVersionMismatch, not generic corruption.
-  std::string patched = bytes_;
-  const uint32_t future = persist::kSnapshotFormatVersion + 1;
-  for (int i = 0; i < 4; ++i) {
-    patched[8 + i] = static_cast<char>((future >> (8 * i)) & 0xff);
+  // it as kVersionMismatch, not generic corruption. The previous version
+  // (v2, which carried a second fresh-variable counter array) is refused
+  // the same way: such a file must be re-saved.
+  for (uint32_t version : {persist::kSnapshotFormatVersion + 1,
+                           persist::kSnapshotFormatVersion - 1}) {
+    std::string patched = bytes_;
+    for (int i = 0; i < 4; ++i) {
+      patched[8 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+    }
+    const uint32_t crc = persist::Crc32(patched.data(), patched.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      patched[patched.size() - 4 + i] =
+          static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    WriteAll(path_, patched);
+    Result<Session> r = Session::OpenSnapshot(path_);
+    ASSERT_FALSE(r.ok()) << "version " << version;
+    EXPECT_EQ(r.status().code(), StatusCode::kVersionMismatch)
+        << "version " << version;
   }
-  const uint32_t crc = persist::Crc32(patched.data(), patched.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    patched[patched.size() - 4 + i] =
-        static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-  WriteAll(path_, patched);
-  Result<Session> r = Session::OpenSnapshot(path_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kVersionMismatch);
 }
 
 TEST_F(SnapshotCorruption, ForeignConfigurationIsSchemaMismatch) {
