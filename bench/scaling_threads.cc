@@ -35,9 +35,9 @@ uint64_t BuildIndex(const EncodedInstance& inst, const FDSet& fds,
   uint64_t checksum = static_cast<uint64_t>(index.size());
   *pairs = 0;
   for (const DiffSetGroup& g : index.groups()) {
-    *pairs += g.frequency();
+    *pairs += static_cast<int64_t>(g.edges.size());
     checksum = checksum * 31 + g.diff.bits();
-    checksum = checksum * 31 + static_cast<uint64_t>(g.frequency());
+    checksum = checksum * 31 + static_cast<uint64_t>(g.edges.size());
     for (const Edge& e : g.edges) {
       checksum = checksum * 31 + static_cast<uint64_t>(e.u);
       checksum = checksum * 31 + static_cast<uint64_t>(e.v);

@@ -85,7 +85,6 @@ void ExpectIdentical(const DifferenceSetIndex& a, const DifferenceSetIndex& b) {
   bool same = a.size() == b.size();
   for (int g = 0; same && g < a.size(); ++g) {
     same = a.group(g).diff.bits() == b.group(g).diff.bits() &&
-           a.group(g).counted == b.group(g).counted &&
            a.group(g).edges == b.group(g).edges;
   }
   if (!same) {

@@ -31,8 +31,10 @@
 //             feasible relaxation with no optimality claim.
 //   --weight  weighted-A* factor w >= 1 for --policy anytime (default 2).
 //   --timing  report the difference-set index build: per-phase wall times
-//             (partition / enumerate / group) and how many conflict pairs
-//             were materialized vs merely counted by the blocked builder.
+//             (partition / enumerate / group), how many conflict pairs
+//             were materialized, and how many pairs agree on no attribute
+//             (never enumerated by blocking; stored only under an
+//             empty-LHS FD).
 //             Also prints the search's incumbent trajectory — when each
 //             best-so-far repair was found, at what cost — and the proven
 //             suboptimality bound (the anytime quality-vs-time curve).
@@ -199,8 +201,9 @@ int RunRepair(Result<Session> session, double tau_r,
           "index build: %.2f ms (partition %.2f ms, pair enumeration "
           "%.2f ms, group+rank %.2f ms)\n"
           "  pairs: %lld candidates in equivalence classes, %lld owned, "
-          "%lld materialized as conflict edges, %lld counted without "
-          "materialization\n\n",
+          "%lld materialized as conflict edges, %lld agreeing on no "
+          "attribute (not enumerated; stored only under an empty-LHS FD)"
+          "\n\n",
           b.total_seconds * 1e3, b.partition_seconds * 1e3,
           b.enumerate_seconds * 1e3, b.group_seconds * 1e3,
           static_cast<long long>(b.pairs_candidate),

@@ -16,13 +16,14 @@ namespace {
 
 /// Edge-weighted memory estimate of a context. Edge storage dominates
 /// (every group keeps its edge list, and the violation table and cover
-/// memo scale with groups, not tuples); counted groups weigh their logical
-/// pairs, and the per-group constant covers the group record, its
-/// incidence row, and memo bookkeeping.
+/// memo scale with groups, not tuples); the per-group constant covers the
+/// group record, its incidence row, and memo bookkeeping.
 size_t EstimateContextBytes(const FdSearchContext& ctx) {
   constexpr size_t kPerGroup = 128;
   int64_t edges = 0;
-  for (const DiffSetGroup& g : ctx.index().groups()) edges += g.frequency();
+  for (const DiffSetGroup& g : ctx.index().groups()) {
+    edges += static_cast<int64_t>(g.edges.size());
+  }
   return static_cast<size_t>(edges) * sizeof(Edge) +
          static_cast<size_t>(ctx.index().size()) * kPerGroup +
          sizeof(FdSearchContext);

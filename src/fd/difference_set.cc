@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iterator>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "src/exec/parallel_for.h"
 #include "src/fd/partition.h"
@@ -18,13 +19,14 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The canonical group order: descending logical frequency, ties broken by
-/// the smaller attribute mask. Shared by every builder and by ApplyDelta.
-void RankGroups(std::vector<DiffSetGroup>* groups) {
+/// The canonical group order: descending frequency, ties broken by the
+/// smaller attribute mask. Shared by every builder and by ApplyDelta.
+template <typename Group>
+void RankGroups(std::vector<Group>* groups) {
   std::sort(groups->begin(), groups->end(),
-            [](const DiffSetGroup& a, const DiffSetGroup& b) {
-              if (a.frequency() != b.frequency()) {
-                return a.frequency() > b.frequency();
+            [](const Group& a, const Group& b) {
+              if (a.edges.size() != b.edges.size()) {
+                return a.edges.size() > b.edges.size();
               }
               return a.diff < b.diff;
             });
@@ -47,7 +49,7 @@ std::vector<DiffSetGroup> GroupEdges(
   for (const auto& [edge, diff] : records) {
     auto [it, inserted] = index.emplace(diff, static_cast<int>(groups.size()));
     if (inserted) {
-      groups.push_back({diff, {}, 0});
+      groups.push_back({diff, {}});
       groups.back().edges.reserve(static_cast<size_t>(freq[diff]));
     }
     groups[it->second].edges.push_back(edge);
@@ -93,130 +95,28 @@ DifferenceSetIndex::DifferenceSetIndex(const EncodedInstance& inst,
   const std::vector<Edge>& edges = cg.graph.edges();
 
   // Sharded O(E·m) phase: the difference set of each edge, written by edge
-  // index (disjoint slots, trivially deterministic).
-  std::vector<AttrSet> diffs(edges.size());
+  // index (disjoint slots, trivially deterministic). Grouping then runs
+  // serially in the graph's canonical edge order.
+  std::vector<std::pair<Edge, AttrSet>> records(edges.size());
   exec::ParallelFor(pool, static_cast<int64_t>(edges.size()),
                     [&](int64_t begin, int64_t end, int /*chunk*/) {
                       for (int64_t i = begin; i < end; ++i) {
-                        diffs[i] = DiffSetOfPair(inst, edges[i].u, edges[i].v);
+                        records[i] = {edges[i], DiffSetOfPair(inst, edges[i].u,
+                                                              edges[i].v)};
                       }
                     });
-
-  // Serial grouping in the graph's canonical edge order: group creation
-  // order and each group's internal edge order match the serial build
-  // exactly. Pre-sized (satellite): one counting pass reserves the map
-  // and every group's edge vector up front.
-  std::unordered_map<AttrSet, int64_t, AttrSetHash> freq;
-  freq.reserve(64);
-  for (const AttrSet diff : diffs) ++freq[diff];
-  std::unordered_map<AttrSet, int, AttrSetHash> index;
-  index.reserve(freq.size());
-  groups_.reserve(freq.size());
-  for (size_t i = 0; i < edges.size(); ++i) {
-    auto [it, inserted] =
-        index.emplace(diffs[i], static_cast<int>(groups_.size()));
-    if (inserted) {
-      groups_.push_back({diffs[i], {}, 0});
-      groups_.back().edges.reserve(static_cast<size_t>(freq[diffs[i]]));
-    }
-    groups_[it->second].edges.push_back(edges[i]);
-  }
-  CanonicalizeCountedGroups(inst.NumAttrs());
+  groups_ = GroupEdges(records);
   RankGroups(&groups_);
-  if (HasCountedGroups()) lazy_ = std::make_unique<LazyEdges>();
 }
 
 DifferenceSetIndex::DifferenceSetIndex(std::vector<DiffSetGroup> groups)
-    : groups_(std::move(groups)) {
-  if (HasCountedGroups()) lazy_ = std::make_unique<LazyEdges>();
-}
-
-DifferenceSetIndex::DifferenceSetIndex(const DifferenceSetIndex& o)
-    : groups_(o.groups_), bound_(o.bound_) {
-  // The lazy cache is derived state; a copy starts cold.
-  if (HasCountedGroups()) lazy_ = std::make_unique<LazyEdges>();
-}
-
-DifferenceSetIndex& DifferenceSetIndex::operator=(
-    const DifferenceSetIndex& o) {
-  if (this == &o) return *this;
-  groups_ = o.groups_;
-  bound_ = o.bound_;
-  lazy_ = HasCountedGroups() ? std::make_unique<LazyEdges>() : nullptr;
-  return *this;
-}
-
-void DifferenceSetIndex::CanonicalizeCountedGroups(int num_attrs) {
-  // The full-disagreement group (diff = every attribute) is stored in
-  // counted form so the naive and blocked builders emit identical indexes:
-  // its pairs only ever become conflict edges under a degenerate empty-LHS
-  // FD, and even then δP and the heuristic need only the count.
-  const AttrSet universe = AttrSet::Universe(num_attrs);
-  if (universe.Empty()) return;
-  for (DiffSetGroup& g : groups_) {
-    if (g.diff == universe && !g.edges.empty()) {
-      g.counted += static_cast<int64_t>(g.edges.size());
-      g.edges.clear();
-      g.edges.shrink_to_fit();
-    }
-  }
-}
-
-bool DifferenceSetIndex::HasCountedGroups() const {
-  for (const DiffSetGroup& g : groups_) {
-    if (g.counted > 0) return true;
-  }
-  return false;
-}
-
-const std::vector<Edge>& DifferenceSetIndex::EdgesForCover(int g) const {
-  const DiffSetGroup& grp = groups_[g];
-  if (grp.counted == 0) return grp.edges;
-  if (bound_ == nullptr) {
-    throw std::logic_error(
-        "counted difference-set group touched before BindInstance");
-  }
-  std::lock_guard<std::mutex> lock(lazy_->mu);
-  auto it = lazy_->by_group.find(g);
-  if (it != lazy_->by_group.end()) return it->second;
-
-  // Materialize the full-disagreement pairs in ascending (u, v) order —
-  // the exact order the naive build would have stored them in.
-  const int n = bound_->NumTuples();
-  const int m = bound_->NumAttrs();
-  std::vector<const int32_t*> cols(m);
-  for (AttrId a = 0; a < m; ++a) cols[a] = bound_->ColumnData(a);
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<size_t>(grp.counted));
-  for (TupleId u = 0; u < n; ++u) {
-    for (TupleId v = u + 1; v < n; ++v) {
-      bool all_differ = true;
-      for (AttrId a = 0; a < m; ++a) {
-        if (cols[a][u] == cols[a][v]) {
-          all_differ = false;
-          break;
-        }
-      }
-      if (all_differ) edges.emplace_back(u, v);
-    }
-  }
-  if (static_cast<int64_t>(edges.size()) != grp.counted) {
-    throw std::logic_error(
-        "counted group does not match the bound instance (stale bind?)");
-  }
-  return lazy_->by_group.emplace(g, std::move(edges)).first->second;
-}
+    : groups_(std::move(groups)) {}
 
 IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
                                           const FDSet& sigma,
                                           const std::vector<TupleId>& dirty,
                                           const std::vector<TupleId>& remap,
                                           exec::ThreadPool* pool) {
-  if (HasCountedGroups()) {
-    throw std::logic_error(
-        "DifferenceSetIndex::ApplyDelta cannot patch counted groups; "
-        "rebuild with the blocked builder (FdSearchContext does)");
-  }
   IndexPatch patch;
   const int new_n = inst.NumTuples();
   std::vector<char> is_dirty(new_n, 0);
@@ -315,12 +215,7 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   work.erase(std::remove_if(work.begin(), work.end(),
                             [](const Work& w) { return w.edges.empty(); }),
              work.end());
-  std::sort(work.begin(), work.end(), [](const Work& a, const Work& b) {
-    if (a.edges.size() != b.edges.size()) {
-      return a.edges.size() > b.edges.size();
-    }
-    return a.diff < b.diff;
-  });
+  RankGroups(&work);
   patch.old_to_new.assign(groups_.size(), -1);
   groups_.clear();
   groups_.reserve(work.size());
@@ -329,7 +224,7 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
       patch.old_to_new[work[i].old_id] = static_cast<int32_t>(i);
       ++patch.groups_preserved;
     }
-    groups_.push_back({work[i].diff, std::move(work[i].edges), 0});
+    groups_.push_back({work[i].diff, std::move(work[i].edges)});
   }
   patch.groups_changed = static_cast<int>(groups_.size()) -
                          patch.groups_preserved;
@@ -340,14 +235,41 @@ std::string DifferenceSetIndex::ToString(const Schema& schema) const {
   std::string out;
   for (const DiffSetGroup& g : groups_) {
     out += g.diff.ToString(schema.Names());
-    out += " x" + std::to_string(g.frequency());
-    if (g.counted > 0) out += " (counted)";
+    out += " x" + std::to_string(g.edges.size());
     out += "\n";
   }
   return out;
 }
 
 namespace {
+
+/// Every pair that disagrees on all attributes, in ascending (u, v) order:
+/// an all-pairs scan sharded on `pool` over contiguous u-ranges, so
+/// chunk-order concatenation is already canonical.
+std::vector<Edge> FullDisagreementEdges(const std::vector<const int32_t*>& cols,
+                                        int n, exec::ThreadPool* pool) {
+  const int m = static_cast<int>(cols.size());
+  exec::ChunkPlan plan = exec::PlanChunks(n, pool);
+  std::vector<std::vector<Edge>> per_chunk(
+      static_cast<size_t>(std::max(plan.num_chunks, 1)));
+  exec::ParallelFor(pool, plan, [&](int64_t begin, int64_t end, int chunk) {
+    for (TupleId u = static_cast<TupleId>(begin);
+         u < static_cast<TupleId>(end); ++u) {
+      for (TupleId v = u + 1; v < n; ++v) {
+        bool all_differ = true;
+        for (AttrId a = 0; a < m && all_differ; ++a) {
+          all_differ = cols[a][u] != cols[a][v];
+        }
+        if (all_differ) per_chunk[chunk].emplace_back(u, v);
+      }
+    }
+  });
+  std::vector<Edge> edges;
+  for (const std::vector<Edge>& c : per_chunk) {
+    edges.insert(edges.end(), c.begin(), c.end());
+  }
+  return edges;
+}
 
 // The blocked build (see BuildDifferenceSetIndex in the header).
 DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
@@ -454,18 +376,24 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
             [](const auto& a, const auto& b) { return a.first < b.first; });
   const double enumerate_seconds = SecondsSince(t_enumerate);
 
-  // Phase 3 — group in canonical edge order, attach the counted
-  // full-disagreement group, and rank. Every pair NOT owned by some
-  // attribute disagrees everywhere; those k pairs share diff = universe
-  // and enter the index only when a (degenerate, empty-LHS) FD makes the
-  // universe diff violating at all.
+  // Phase 3 — group in canonical edge order, add the full-disagreement
+  // group, and rank. Every pair NOT owned by some attribute disagrees
+  // everywhere; those pairs share diff = universe and enter the index only
+  // when an empty-LHS FD makes the universe diff violating at all.
   const auto t_group = std::chrono::steady_clock::now();
   std::vector<DiffSetGroup> groups = GroupEdges(records);
+  int64_t stored = static_cast<int64_t>(records.size());
   const int64_t total_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
   const int64_t full_disagreement = total_pairs - owned;
   const AttrSet universe = AttrSet::Universe(m);
   if (full_disagreement > 0 && DiffSetViolates(universe, sigma)) {
-    groups.push_back({universe, {}, full_disagreement});
+    std::vector<Edge> edges = FullDisagreementEdges(cols, n, pool);
+    if (static_cast<int64_t>(edges.size()) != full_disagreement) {
+      throw std::logic_error(
+          "full-disagreement scan disagrees with the ownership count");
+    }
+    stored += full_disagreement;
+    groups.push_back({universe, std::move(edges)});
   }
   RankGroups(&groups);
   DifferenceSetIndex index(std::move(groups));
@@ -474,7 +402,7 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
   if (stats != nullptr) {
     stats->pairs_candidate = candidate;
     stats->pairs_owned = owned;
-    stats->pairs_materialized = static_cast<int64_t>(records.size());
+    stats->pairs_materialized = stored;
     stats->pairs_counted = full_disagreement;
     stats->partition_seconds = partition_seconds;
     stats->enumerate_seconds = enumerate_seconds;
@@ -513,7 +441,7 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
 
   struct ChunkOut {
     std::vector<std::pair<Edge, AttrSet>> records;
-    int64_t full = 0;  ///< disagree-everywhere pairs (counted, never stored)
+    int64_t full = 0;  ///< disagree-everywhere pairs (stats only)
   };
   exec::ChunkPlan plan = exec::PlanChunks(n, pool);
   std::vector<ChunkOut> per_chunk(
@@ -525,10 +453,7 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
          u < static_cast<TupleId>(end); ++u) {
       for (TupleId v = u + 1; v < n; ++v) {
         AttrSet diff = DiffSetOfPair(cols.data(), m, u, v);
-        if (diff == universe) {
-          ++out.full;
-          continue;
-        }
+        if (diff == universe) ++out.full;
         if (DiffSetViolates(diff, sigma)) {
           out.records.emplace_back(Edge(u, v), diff);
         }
@@ -552,9 +477,6 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
 
   const auto t_group = std::chrono::steady_clock::now();
   std::vector<DiffSetGroup> groups = GroupEdges(records);
-  if (full_disagreement > 0 && DiffSetViolates(universe, sigma)) {
-    groups.push_back({universe, {}, full_disagreement});
-  }
   RankGroups(&groups);
   DifferenceSetIndex index(std::move(groups));
   const double group_seconds = SecondsSince(t_group);

@@ -12,19 +12,15 @@
 //   * naive  — all O(n²) pairs through the conflict graph (the oracle);
 //   * blocked — per-attribute equivalence-class partitions enumerate only
 //     pairs that agree on at least one attribute, deduped by the
-//     first-agreeing-attribute ownership rule; the residual pairs that
-//     disagree EVERYWHERE are carried as a counted full-disagreement group
-//     (edges materialized lazily, and only when a degenerate empty-LHS FD
-//     makes them conflict edges at all).
+//     first-agreeing-attribute ownership rule. The residual pairs that
+//     disagree EVERYWHERE are conflict edges only under an empty-LHS FD;
+//     then one all-pairs scan stores them as the universe group.
 // Both are bit-identical at any thread count; blocked is the default.
 
 #ifndef RETRUST_FD_DIFFERENCE_SET_H_
 #define RETRUST_FD_DIFFERENCE_SET_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/fd/conflict_graph.h"
@@ -41,27 +37,12 @@ AttrSet DiffSetOfPair(const EncodedInstance& inst, TupleId t1, TupleId t2);
 AttrSet DiffSetOfPair(const int32_t* const* cols, int num_attrs, TupleId t1,
                       TupleId t2);
 
-/// One group of conflict edges sharing a difference set.
-///
-/// A group is either MATERIALIZED (`counted == 0`: the pairs live in
-/// `edges`, canonical ascending order) or COUNTED (`counted > 0`,
-/// `edges` empty): the blocked build's full-disagreement group, whose
-/// `counted` pairs all share diff = the whole attribute universe and are
-/// never stored. δP and the heuristic only ever need a group's diff and
-/// frequency, so counted groups flow through search unchanged; the few
-/// consumers that need actual pairs (greedy-matching covers, data repair)
-/// go through DifferenceSetIndex::EdgesForCover, which materializes them
-/// lazily from the bound instance.
+/// One group of conflict edges sharing a difference set, in canonical
+/// ascending (u, v) order. `edges.size()` is the group's frequency, the
+/// heuristic's ranking key.
 struct DiffSetGroup {
   AttrSet diff;
   std::vector<Edge> edges;
-  int64_t counted = 0;  ///< pairs represented without edges (0 = none)
-
-  /// Logical number of conflict pairs in the group — the heuristic's
-  /// ranking key, independent of materialization.
-  int64_t frequency() const {
-    return static_cast<int64_t>(edges.size()) + counted;
-  }
 };
 
 /// Per-phase observability of one index build (the --timing surface of
@@ -70,7 +51,9 @@ struct DiffSetBuildStats {
   int64_t pairs_candidate = 0;     ///< pairs enumerated inside classes
   int64_t pairs_owned = 0;         ///< pairs passing the ownership rule
   int64_t pairs_materialized = 0;  ///< conflict edges stored in groups
-  int64_t pairs_counted = 0;       ///< full-disagreement pairs NOT stored
+  /// Pairs that agree on no attribute. The partition phase never
+  /// enumerates them; they are stored only when Σ has an empty-LHS FD.
+  int64_t pairs_counted = 0;
   double partition_seconds = 0.0;  ///< per-attribute partition phase
   double enumerate_seconds = 0.0;  ///< in-class pair enumeration phase
   double group_seconds = 0.0;      ///< merge + group + rank phase
@@ -123,11 +106,6 @@ class DifferenceSetIndex {
   /// corruption).
   explicit DifferenceSetIndex(std::vector<DiffSetGroup> groups);
 
-  DifferenceSetIndex(const DifferenceSetIndex& o);
-  DifferenceSetIndex& operator=(const DifferenceSetIndex& o);
-  DifferenceSetIndex(DifferenceSetIndex&&) = default;
-  DifferenceSetIndex& operator=(DifferenceSetIndex&&) = default;
-
   /// Incrementally maintains the index after `inst` had a delta applied
   /// (delta.h). `dirty` is the plan's post-delta dirty id set (ascending)
   /// and `remap` its old->new id map; the index must have been built over
@@ -138,12 +116,6 @@ class DifferenceSetIndex {
   /// post-delta instance for any thread count (the index is a pure
   /// function of {pair -> difference set}, and the delta only changes
   /// pairs with a dirty endpoint).
-  ///
-  /// Precondition: no counted groups (throws std::logic_error otherwise).
-  /// A counted group's pre-delta pair population is not recoverable from
-  /// the post-delta instance, so in the degenerate empty-LHS-FD regime
-  /// FdSearchContext::ApplyDelta rebuilds the index with
-  /// BuildDifferenceSetIndex instead of patching it.
   IndexPatch ApplyDelta(const EncodedInstance& inst, const FDSet& sigma,
                         const std::vector<TupleId>& dirty,
                         const std::vector<TupleId>& remap,
@@ -154,41 +126,10 @@ class DifferenceSetIndex {
   const DiffSetGroup& group(int i) const { return groups_[i]; }
   const std::vector<DiffSetGroup>& groups() const { return groups_; }
 
-  /// True iff any group is counted (edges not materialized).
-  bool HasCountedGroups() const;
-
-  /// Binds the instance counted groups materialize their edges from.
-  /// Must be called (with the instance the index was built over) before
-  /// EdgesForCover touches a counted group; indexes without counted groups
-  /// never need it. The instance must outlive the index's use and must not
-  /// mutate while bound (a delta rebuilds the index, re-binding fresh).
-  void BindInstance(const EncodedInstance* inst) { bound_ = inst; }
-
-  /// The group's conflict pairs in canonical ascending order — for
-  /// materialized groups a reference to `edges`; for counted groups the
-  /// lazily materialized full-disagreement pair list (cached; O(n²·m) on
-  /// first touch, which only happens in the degenerate empty-LHS-FD regime
-  /// where the naive build was quadratic anyway). Thread-safe; the
-  /// returned reference stays valid for the index's lifetime.
-  const std::vector<Edge>& EdgesForCover(int g) const;
-
   std::string ToString(const Schema& schema) const;
 
  private:
-  /// Folds a naive build's universe-diff group (pairs disagreeing on every
-  /// attribute) into counted form so both builders emit identical indexes.
-  void CanonicalizeCountedGroups(int num_attrs);
-
   std::vector<DiffSetGroup> groups_;
-  const EncodedInstance* bound_ = nullptr;
-  /// Lazy edge lists for counted groups, keyed by group id. Heap-pinned so
-  /// the index stays movable and EdgesForCover's references survive moves;
-  /// allocated whenever the index holds a counted group.
-  struct LazyEdges {
-    std::mutex mu;
-    std::unordered_map<int, std::vector<Edge>> by_group;
-  };
-  mutable std::unique_ptr<LazyEdges> lazy_;
 };
 
 /// True iff difference set `diff` violates at least one FD in `fds`.
@@ -204,10 +145,13 @@ bool DiffSetViolates(AttrSet diff, const FDSet& fds);
 /// kBlocked: per-attribute partitions (PartitionBy) restrict pair
 /// enumeration to equivalence classes, the first-agreeing-attribute
 /// ownership rule emits each agree-somewhere pair exactly once, and the
-/// residual disagree-everywhere pairs are counted, not materialized. Work
+/// residual disagree-everywhere pairs are counted, not enumerated. Work
 /// is sharded over (attribute, class) units with canonical merge order.
 /// O(Σ_classes |c|²·m) instead of O(n²·m); sub-quadratic whenever
-/// per-attribute classes stay small. kNaive scans all C(n,2) pairs.
+/// per-attribute classes stay small. Only an empty-LHS FD makes the
+/// residual pairs conflict edges; then an all-pairs scan, sharded over
+/// u-ranges, stores them as the universe group. kNaive scans all C(n,2)
+/// pairs.
 DifferenceSetIndex BuildDifferenceSetIndex(
     const EncodedInstance& inst, const FDSet& sigma,
     exec::ThreadPool* pool = nullptr,

@@ -3,16 +3,14 @@
 namespace retrust {
 
 CoverMemo::CoverMemo(std::vector<const std::vector<Edge>*> groups,
-                     int32_t num_vertices, size_t max_entries,
-                     GroupResolver resolver)
+                     int32_t num_vertices, size_t max_entries)
     : groups_(std::move(groups)),
-      resolver_(std::move(resolver)),
       num_vertices_(num_vertices),
       max_entries_(max_entries) {}
 
 CoverMemo::RebindStats CoverMemo::Rebind(
     std::vector<const std::vector<Edge>*> groups, int32_t num_vertices,
-    const std::vector<int32_t>& old_to_new, GroupResolver resolver) {
+    const std::vector<int32_t>& old_to_new) {
   std::lock_guard<std::mutex> lock(mu_);
   RebindStats stats;
   const int new_num_groups = static_cast<int>(groups.size());
@@ -76,7 +74,6 @@ CoverMemo::RebindStats CoverMemo::Rebind(
   }
 
   groups_ = std::move(groups);
-  resolver_ = std::move(resolver);
   num_vertices_ = num_vertices;
   return stats;
 }

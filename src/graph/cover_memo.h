@@ -34,7 +34,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -77,23 +76,12 @@ class CoverMemo {
     std::vector<std::pair<std::vector<int32_t>, int32_t>> seq_entries;
   };
 
-  /// Produces the edge list of a group whose pointer in `groups` is null —
-  /// the counted-group hook: DeltaPEvaluator binds this to
-  /// DifferenceSetIndex::EdgesForCover so a counted full-disagreement
-  /// group materializes its pairs only if a cover scan actually reaches
-  /// it. Must return a reference that stays valid for the memo's lifetime
-  /// and be safe to call from any thread.
-  using GroupResolver = std::function<const std::vector<Edge>&(int)>;
-
-  /// `groups[g]` is group g's edge list; the pointed-to vectors must
-  /// outlive the memo (FdSearchContext owns the DifferenceSetIndex they
-  /// live in). A null entry marks a counted group, resolved on demand via
-  /// `resolver` (required iff any entry is null). `max_entries` caps EACH
-  /// memo map; overflow disables insertion but never lookup (results stay
-  /// exact, only colder).
+  /// `groups[g]` is group g's edge list (non-null); the pointed-to vectors
+  /// must outlive the memo (FdSearchContext owns the DifferenceSetIndex
+  /// they live in). `max_entries` caps EACH memo map; overflow disables
+  /// insertion but never lookup (results stay exact, only colder).
   CoverMemo(std::vector<const std::vector<Edge>*> groups,
-            int32_t num_vertices, size_t max_entries = size_t{1} << 20,
-            GroupResolver resolver = nullptr);
+            int32_t num_vertices, size_t max_entries = size_t{1} << 20);
 
   /// Rebinds the memo to a delta-patched group family: `groups` replaces
   /// the edge-list bindings and `old_to_new` is the IndexPatch id
@@ -108,8 +96,7 @@ class CoverMemo {
   /// provides it).
   RebindStats Rebind(std::vector<const std::vector<Edge>*> groups,
                      int32_t num_vertices,
-                     const std::vector<int32_t>& old_to_new,
-                     GroupResolver resolver = nullptr);
+                     const std::vector<int32_t>& old_to_new);
 
   /// Matching-cover size of the union of the set groups' edges, scanned in
   /// ascending group-index order (the canonical state-evaluation order).
@@ -180,15 +167,9 @@ class CoverMemo {
                      int64_t* resumed) const;
   int32_t ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,
                      int64_t* scanned, int64_t* resumed) const;
-  /// Group g's edges: the bound pointer, or the resolver for null (counted)
-  /// entries. Called outside mu_ (EdgesForCover takes its own lock).
-  const std::vector<Edge>& EdgesOf(int g) const {
-    const std::vector<Edge>* edges = groups_[g];
-    return edges != nullptr ? *edges : resolver_(g);
-  }
+  const std::vector<Edge>& EdgesOf(int g) const { return *groups_[g]; }
 
   std::vector<const std::vector<Edge>*> groups_;
-  GroupResolver resolver_;
   int32_t num_vertices_ = 0;
   size_t max_entries_ = 0;
 

@@ -23,8 +23,7 @@ namespace {
 //   codes column-major (m columns of n i32 each, attribute order),
 //   next_var (m i32),
 //   sigma{u32 count; per FD: u64 lhs, i32 rhs},
-//   index{u32 groups; per group: u64 diff, i64 counted, u64 edges;
-//         i32 pairs — counted groups carry zero materialized edges},
+//   index{u32 groups; per group: u64 diff, u64 edges, i32 pairs},
 //   table rows (one u64 per group),
 //   covers{u64 set count; per entry: words + i32 value;
 //          u64 seq count; per entry: u64 len, i32 ids, i32 value}.
@@ -173,16 +172,10 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   w.U32(static_cast<uint32_t>(view.index->size()));
   for (const DiffSetGroup& g : view.index->groups()) {
     w.U64(g.diff.bits());
-    w.I64(g.counted);
-    // A counted group's edges are a derived cache (lazily materialized for
-    // data repair), never part of the snapshot — the bytes stay identical
-    // whether or not the session ever materialized them.
-    w.U64(g.counted > 0 ? 0 : g.edges.size());
-    if (g.counted == 0) {
-      for (const Edge& e : g.edges) {
-        w.I32(e.u);
-        w.I32(e.v);
-      }
+    w.U64(g.edges.size());
+    for (const Edge& e : g.edges) {
+      w.I32(e.u);
+      w.I32(e.v);
     }
   }
 
@@ -324,10 +317,8 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     std::vector<DiffSetGroup> groups(num_groups);
     for (DiffSetGroup& g : groups) {
       g.diff = AttrSet(r.U64());
-      g.counted = r.I64();
       const uint64_t num_edges = r.U64();
-      if (!PlausibleCount(num_edges, r) || g.counted < 0 ||
-          (g.counted > 0 && num_edges != 0)) {
+      if (!PlausibleCount(num_edges, r)) {
         return IoError("snapshot '" + path + "' has an implausible edge list");
       }
       g.edges.resize(static_cast<size_t>(num_edges));

@@ -52,11 +52,12 @@ inline constexpr char kSnapshotMagic[8] = {'R', 'T', 'S', 'N',
 /// difference-set groups; v2 stored column-major codes (one contiguous
 /// column per attribute, matching EncodedInstance's SoA layout) and a
 /// per-group counted-pair field for full-disagreement groups whose edges
-/// are never materialized; v3 (current) drops v2's second fresh-variable
-/// counter array, which mirrored a decoded instance the session no longer
-/// keeps — the encoded counters alone drive variable allocation. v1 and
-/// v2 files report kVersionMismatch and must be re-saved.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+/// are never materialized; v3 dropped v2's second fresh-variable counter
+/// array, which mirrored a decoded instance the session no longer keeps;
+/// v4 (current) drops the per-group counted-pair field — every group
+/// stores its edges, the full-disagreement group under an empty-LHS FD
+/// included. v1–v3 files report kVersionMismatch and must be re-saved.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// The (Σ, weights, heuristic) identity of a snapshot: a session may only
 /// adopt a snapshot whose fingerprint matches its own configuration.

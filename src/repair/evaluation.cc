@@ -4,26 +4,12 @@ namespace retrust {
 
 namespace {
 
-// A counted group's slot is null: the memo pulls its (lazily materialized)
-// pair list from the index only if a cover scan actually reaches it.
 std::vector<const std::vector<Edge>*> GroupEdgeLists(
     const DifferenceSetIndex& index) {
   std::vector<const std::vector<Edge>*> out;
   out.reserve(index.size());
-  for (const DiffSetGroup& g : index.groups()) {
-    out.push_back(g.counted > 0 ? nullptr : &g.edges);
-  }
+  for (const DiffSetGroup& g : index.groups()) out.push_back(&g.edges);
   return out;
-}
-
-// Resolver for the null slots. Captures the index by pointer: the
-// evaluator's contract already requires the index to outlive it.
-CoverMemo::GroupResolver CountedResolver(const DifferenceSetIndex& index) {
-  if (!index.HasCountedGroups()) return nullptr;
-  const DifferenceSetIndex* idx = &index;
-  return [idx](int g) -> const std::vector<Edge>& {
-    return idx->EdgesForCover(g);
-  };
 }
 
 }  // namespace
@@ -32,15 +18,13 @@ DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
                                  int num_tuples, exec::ThreadPool* pool)
     : table_(sigma, index, pool),
-      memo_(GroupEdgeLists(index), num_tuples, size_t{1} << 20,
-            CountedResolver(index)) {}
+      memo_(GroupEdgeLists(index), num_tuples) {}
 
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
                                  int num_tuples, WarmState warm)
     : table_(sigma, index, std::move(warm.table_rows)),
-      memo_(GroupEdgeLists(index), num_tuples, size_t{1} << 20,
-            CountedResolver(index)) {
+      memo_(GroupEdgeLists(index), num_tuples) {
   memo_.Preload(std::move(warm.covers));
 }
 
@@ -57,8 +41,7 @@ DeltaPEvaluator::PatchStats DeltaPEvaluator::ApplyDelta(
   PatchStats stats;
   stats.table_groups_recomputed =
       table_.ApplyPatch(sigma, index, old_to_new, pool);
-  stats.memo = memo_.Rebind(GroupEdgeLists(index), num_tuples, old_to_new,
-                            CountedResolver(index));
+  stats.memo = memo_.Rebind(GroupEdgeLists(index), num_tuples, old_to_new);
   return stats;
 }
 

@@ -52,12 +52,11 @@ int32_t GcHeuristic::CoverOfGroups(const std::vector<int>& groups,
   if (evaluator_ != nullptr) return evaluator_->CoverOfGroups(groups, stats);
   // Legacy scan (reference/oracle path): concatenate edges of the groups
   // in order; greedy matching cover. (Groups are disjoint edge sets by
-  // construction. EdgesForCover transparently materializes counted
-  // full-disagreement groups.)
+  // construction.)
   if (stats != nullptr) ++stats->vc_computations;
   std::vector<Edge> edges;
   for (int g : groups) {
-    const auto& ge = index_.EdgesForCover(g);
+    const auto& ge = index_.group(g).edges;
     edges.insert(edges.end(), ge.begin(), ge.end());
   }
   MatchingCoverScratch scratch(num_tuples_);

@@ -108,9 +108,8 @@ class FdSearchContext {
  public:
   /// The difference-set index (BuildDifferenceSetIndex, blocked) and the
   /// violation table are built sharded on `pool` (nullable = serial, not
-  /// owned; identical output for any pool size). The context keeps a
-  /// pointer to `inst` (for lazy materialization of counted groups), so
-  /// `inst` must outlive the context — already required by ApplyDelta.
+  /// owned; identical output for any pool size). The context does not
+  /// read `inst` after construction; ApplyDelta takes it again.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts = {},
@@ -141,15 +140,9 @@ class FdSearchContext {
   /// the violation table copies preserved incidence rows, and warm covers
   /// over preserved groups are remapped; every post-delta answer is
   /// BIT-IDENTICAL to a context freshly built over the mutated instance,
-  /// for any pool size. Exception: when some FD of Σ has an empty LHS
-  /// (the only regime where full-disagreement pairs are conflict edges and
-  /// the index may carry a counted group), the pre-delta pair population
-  /// is not recoverable from the post-delta instance, so the index is
-  /// REBUILT by BuildDifferenceSetIndex and all warm covers drop — still
-  /// bit-identical to a fresh build, just without the O(Δ·n) shortcut.
-  /// Bumps version(); an exec/ sweep in flight detects the bump and
-  /// refuses to mix snapshots. NOT safe against
-  /// concurrent const use — callers serialize deltas against queries
+  /// for any pool size. Bumps version(); an exec/ sweep in flight detects
+  /// the bump and refuses to mix snapshots. NOT safe against concurrent
+  /// const use — callers serialize deltas against queries
   /// (retrust::Session does this with a shared/exclusive lock).
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
@@ -167,7 +160,7 @@ class FdSearchContext {
   const DifferenceSetIndex& index() const { return index_; }
   /// Phase timings and pair counts of the index build that produced this
   /// context (zeros for the restore constructor — a snapshot restore does
-  /// not rebuild). Refreshed when ApplyDelta falls back to a full rebuild.
+  /// not rebuild). A delta patches the index and leaves them as they are.
   const DiffSetBuildStats& build_stats() const { return build_stats_; }
   const DeltaPEvaluator& evaluator() const { return *evaluator_; }
   const GcHeuristic& heuristic() const { return heuristic_; }

@@ -80,13 +80,12 @@ DataRepairResult RepairData(const EncodedInstance& inst,
   // the SAME canonical order FdSearchContext::CoverSize uses — so the
   // number of cover tuples here equals the δP/α the search certified
   // against τ (Theorem 2 consistency).
-  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime);
-  index.BindInstance(&inst);  // counted groups materialize lazily
+  const DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime);
   std::vector<int32_t> cover;
   {
     std::vector<char> covered(inst.NumTuples(), 0);
     for (int g = 0; g < index.size(); ++g) {
-      for (const Edge& e : index.EdgesForCover(g)) {
+      for (const Edge& e : index.group(g).edges) {
         if (!covered[e.u] && !covered[e.v]) {
           covered[e.u] = covered[e.v] = 1;
           cover.push_back(e.u);

@@ -72,6 +72,10 @@ struct PendingRequest {
   /// against it; the remainder is what the Session-level request gets.
   double deadline_seconds = 0.0;
   std::chrono::steady_clock::time_point submitted{};
+  /// Stamped by the worker right after Pop. Queue wait is dispatched −
+  /// submitted; the tenant lookup (a lazy CSV open or snapshot reload)
+  /// runs after it and is not queue wait.
+  std::chrono::steady_clock::time_point dispatched{};
 
   /// Owned by the pending entry and kept alive (shared_ptr) until the
   /// request reaches a terminal state, so a cooperative cancel can never
@@ -91,6 +95,9 @@ struct PendingRequest {
   /// shutdown drain). Only the thread driving the request touches it.
   std::function<void()> release;
 
+  double QueueWaitSeconds() const {
+    return std::chrono::duration<double>(dispatched - submitted).count();
+  }
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          submitted)

@@ -147,12 +147,15 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
   req->execute = [this, done, run = std::move(run), on_fail](
                      Session& session, PendingRequest& pending) {
     const auto exec_start = std::chrono::steady_clock::now();
-    const double queue_wait = std::chrono::duration<double>(
-                                  exec_start - pending.submitted)
-                                  .count();
+    const double queue_wait = pending.QueueWaitSeconds();
     if (pending.trace != nullptr) {
-      pending.trace->root.StartChild("queue_wait")->set_seconds(queue_wait);
-      pending.trace->service = pending.trace->root.StartChild("service");
+      obs::TraceSpan& root = pending.trace->root;
+      root.StartChild("queue_wait")->set_seconds(queue_wait);
+      root.StartChild("tenant_open")
+          ->set_seconds(std::chrono::duration<double>(exec_start -
+                                                      pending.dispatched)
+                            .count());
+      pending.trace->service = root.StartChild("service");
     }
     T reply = [&]() -> T {
       try {
@@ -197,6 +200,7 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
 
 void Server::WorkerLoop() {
   while (std::shared_ptr<PendingRequest> req = queue_.Pop()) {
+    req->dispatched = std::chrono::steady_clock::now();
     // The terminal wrapper (execute or fail) releases the lane slot just
     // before completing the future; the request's session work is done by
     // then, so the apply_delta barrier still covers the whole execution.
@@ -220,8 +224,8 @@ void Server::WorkerLoop() {
     } else {
       // A failed lazy open is still a dispatched-and-replied request, so
       // the admitted-request counters partition cleanly (stats.h). Its
-      // verb never started: the whole wait is queue wait.
-      RecordCompleted(*req, req->ElapsedSeconds(), /*service_seconds=*/0.0);
+      // verb never started: no service time.
+      RecordCompleted(*req, req->QueueWaitSeconds(), /*service_seconds=*/0.0);
       req->fail(session.status());
     }
   }

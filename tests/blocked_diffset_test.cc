@@ -1,14 +1,13 @@
 // Oracle tests for the blocked difference-set builder (ROADMAP item 1):
 // the partition-blocked build must be BIT-IDENTICAL to the naive all-pairs
-// build — same groups (difference set, edge order, counted field), same
-// root δP, same full search traces — at any thread count, and the counted
-// full-disagreement representation must stay invisible to every consumer.
+// build — same groups (difference set, edge order), same root δP, same
+// full search traces — at any thread count, including the empty-LHS regime
+// where the pairs that disagree everywhere are conflict edges too.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <random>
-#include <stdexcept>
 #include <vector>
 
 #include "src/exec/thread_pool.h"
@@ -52,8 +51,8 @@ FDSet TestSigma() {
 }
 
 /// Σ with an empty-LHS FD — the degenerate "Case B" regime where pairs
-/// disagreeing on EVERY attribute are conflict edges and the blocked build
-/// carries them as a counted group.
+/// disagreeing on EVERY attribute are conflict edges, which the blocked
+/// build's partitions never enumerate.
 FDSet EmptyLhsSigma() {
   FDSet sigma;
   sigma.Add(FD{AttrSet{}, 0});
@@ -61,16 +60,14 @@ FDSet EmptyLhsSigma() {
   return sigma;
 }
 
-/// Full structural equality, including the counted field — the blocked and
-/// naive front doors must agree on the exact representation, not just on
-/// the logical pair population.
+/// Full structural equality — the blocked and naive front doors must agree
+/// on every group's difference set and its edges in order.
 void ExpectIndexIdentical(const DifferenceSetIndex& got,
                           const DifferenceSetIndex& want) {
   ASSERT_EQ(got.size(), want.size());
   for (int g = 0; g < got.size(); ++g) {
     EXPECT_EQ(got.group(g).diff.bits(), want.group(g).diff.bits())
         << "group " << g;
-    EXPECT_EQ(got.group(g).counted, want.group(g).counted) << "group " << g;
     ASSERT_EQ(got.group(g).edges.size(), want.group(g).edges.size())
         << "group " << g;
     for (size_t e = 0; e < got.group(g).edges.size(); ++e) {
@@ -191,8 +188,8 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
         enc, sigma, pool.get(), DiffSetBuildMode::kNaive);
     ExpectIndexIdentical(blocked, naive);
 
-    // Search answers (which materialize the counted group through the
-    // cover path) must also agree.
+    // Search answers (whose covers scan the full-disagreement group) must
+    // also agree.
     FdSearchContext bctx(sigma, enc, weights, {}, pool.get());
     std::unique_ptr<FdSearchContext> nctx =
         NaiveContext(sigma, enc, weights, pool.get());
@@ -205,7 +202,7 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
 INSTANTIATE_TEST_SUITE_P(Threads, BlockedOracle,
                          ::testing::Values(1, 2, 4, 8));
 
-// --- Counted-group edge cases --------------------------------------------
+// --- Full-disagreement pairs (stats.pairs_counted) edge cases ------------
 
 TEST(CountedGroups, AllDistinctWithoutEmptyLhsProducesEmptyIndex) {
   // Every pair disagrees everywhere; without an empty-LHS FD such pairs
@@ -222,7 +219,6 @@ TEST(CountedGroups, AllDistinctWithoutEmptyLhsProducesEmptyIndex) {
   DifferenceSetIndex index = BuildDifferenceSetIndex(
       enc, sigma, {}, DiffSetBuildMode::kBlocked, &stats);
   EXPECT_TRUE(index.empty());
-  EXPECT_FALSE(index.HasCountedGroups());
   EXPECT_EQ(stats.pairs_counted, 15);  // C(6,2), none materialized
   EXPECT_EQ(stats.pairs_materialized, 0);
 }
@@ -234,21 +230,19 @@ TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneCountedGroup) {
                    Value(static_cast<int64_t>(t + 100))});
   }
   EncodedInstance enc(inst);
-  DifferenceSetIndex index =
-      BuildDifferenceSetIndex(enc, EmptyLhsSigma(), {});
-  ASSERT_EQ(index.size(), 1);
-  EXPECT_TRUE(index.HasCountedGroups());
-  EXPECT_EQ(index.group(0).diff.bits(), AttrSet::Universe(2).bits());
-  EXPECT_EQ(index.group(0).counted, 10);
-  EXPECT_TRUE(index.group(0).edges.empty());
-  EXPECT_EQ(index.group(0).frequency(), 10);
+  DiffSetBuildStats stats;
+  DifferenceSetIndex index = BuildDifferenceSetIndex(
+      enc, EmptyLhsSigma(), {}, DiffSetBuildMode::kBlocked, &stats);
+  ExpectIndexIdentical(index, BuildDifferenceSetIndex(
+                                  enc, EmptyLhsSigma(), {},
+                                  DiffSetBuildMode::kNaive));
+  EXPECT_EQ(stats.pairs_counted, 10);
+  EXPECT_EQ(stats.pairs_materialized, 10);
 
-  // Unbound counted groups refuse to materialize...
-  EXPECT_THROW(index.EdgesForCover(0), std::logic_error);
-  // ...and bound ones produce the exact ascending pair list the naive
-  // build would have stored.
-  index.BindInstance(&enc);
-  const std::vector<Edge>& edges = index.EdgesForCover(0);
+  // One materialized universe group: every pair, in ascending order.
+  ASSERT_EQ(index.size(), 1);
+  EXPECT_EQ(index.group(0).diff.bits(), AttrSet::Universe(2).bits());
+  const std::vector<Edge>& edges = index.group(0).edges;
   ASSERT_EQ(edges.size(), 10u);
   size_t k = 0;
   for (TupleId u = 0; u < 5; ++u) {
@@ -257,10 +251,6 @@ TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneCountedGroup) {
       ++k;
     }
   }
-
-  // Counted groups cannot be delta-patched in place.
-  EXPECT_THROW(index.ApplyDelta(enc, EmptyLhsSigma(), {}, {}, nullptr),
-               std::logic_error);
 }
 
 TEST(CountedGroups, AllDuplicateTuplesProduceNoConflicts) {
@@ -279,7 +269,7 @@ TEST(CountedGroups, AllDuplicateTuplesProduceNoConflicts) {
 
 TEST(CountedGroups, SingleAttributeInstance) {
   // m = 1: the universe is {A0}; with Σ = {∅ -> A0}, unequal pairs form
-  // one counted group and equal pairs vanish.
+  // one universe group and equal pairs vanish.
   Instance inst(MakeSchema(1));
   for (int64_t v : {0, 1, 0, 2, 1}) inst.AddTuple({Value(v)});
   EncodedInstance enc(inst);
@@ -291,7 +281,7 @@ TEST(CountedGroups, SingleAttributeInstance) {
       BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive);
   ExpectIndexIdentical(blocked, naive);
   ASSERT_EQ(blocked.size(), 1);
-  EXPECT_EQ(blocked.group(0).counted, 8);  // C(5,2) minus two equal pairs
+  EXPECT_EQ(blocked.group(0).edges.size(), 8u);  // C(5,2) minus 2 equal
 }
 
 TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
@@ -303,11 +293,10 @@ TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
   EncodedInstance enc(inst);
   DifferenceSetIndex index =
       BuildDifferenceSetIndex(enc, EmptyLhsSigma(), {});
-  index.BindInstance(&enc);
-  ASSERT_EQ(index.EdgesForCover(0).size(), 6u);
-  DifferenceSetIndex copy = index;  // copies start with a cold lazy cache
-  copy.BindInstance(&enc);
-  EXPECT_EQ(copy.EdgesForCover(0).size(), 6u);
+  ASSERT_EQ(index.size(), 1);
+  ASSERT_EQ(index.group(0).edges.size(), 6u);
+  DifferenceSetIndex copy = index;
+  ExpectIndexIdentical(copy, index);
 }
 
 // --- Delta maintenance over the columnar layout --------------------------
@@ -361,9 +350,9 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
   }
 }
 
-TEST(ColumnarDelta, EmptyLhsDeltaRebuildsAndMatchesFresh) {
-  // In the Case-B regime FdSearchContext::ApplyDelta rebuilds instead of
-  // patching; the result must still match a fresh context — including the
+TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
+  // In the Case-B regime FdSearchContext::ApplyDelta patches the index like
+  // any other delta; the result must match a fresh context — including the
   // delta that creates the FIRST full-disagreement pair.
   exec::Options eopts;
   eopts.num_threads = 2;
@@ -371,23 +360,30 @@ TEST(ColumnarDelta, EmptyLhsDeltaRebuildsAndMatchesFresh) {
   CardinalityWeight weights;
   FDSet sigma = EmptyLhsSigma();
 
-  // Start with tuples that all agree on attribute 1: no counted group.
+  // Start with tuples that all agree on attribute 1: one {A0} group and no
+  // full-disagreement pair.
   Instance inst(MakeSchema(2));
   for (int64_t v : {0, 1, 2}) inst.AddTuple({Value(v), Value(int64_t{7})});
   EncodedInstance enc(inst);
   FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
-  ASSERT_FALSE(ctx.index().HasCountedGroups());
+  ASSERT_EQ(ctx.index().size(), 1);
+  ASSERT_EQ(ctx.index().group(0).diff, AttrSet{0});
 
-  // The insert disagrees with everyone everywhere: the first counted pair.
+  // The insert disagrees with everyone everywhere: the first
+  // full-disagreement pairs. It leaves the {A0} group alone, so a patch
+  // preserves that group; a rebuild would preserve none.
   DeltaBatch delta;
   delta.Insert({Value(int64_t{9}), Value(int64_t{8})});
   DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), 2);
   inst.ApplyDelta(delta, plan);
   enc.ApplyDelta(delta, plan);
-  ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
+  FdSearchContext::DeltaReport report =
+      ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
+  EXPECT_GT(report.index.groups_preserved, 0);
+  EXPECT_EQ(report.index.edges_added, 3);
 
   FdSearchContext fresh(sigma, enc, weights, {}, pool.get());
-  EXPECT_TRUE(ctx.index().HasCountedGroups());
+  ASSERT_EQ(ctx.index().size(), 2);
   ExpectIndexIdentical(ctx.index(), fresh.index());
   EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
   ExpectSameSearch(ModifyFds(ctx, 0), ModifyFds(fresh, 0));

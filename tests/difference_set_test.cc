@@ -45,7 +45,7 @@ TEST(DifferenceSetIndex, GroupsAndOrdersByFrequency) {
   ASSERT_EQ(index.size(), 3);  // BD, AD, BCD — all singleton groups
   int64_t total_edges = 0;
   for (const DiffSetGroup& g : index.groups()) {
-    total_edges += g.frequency();
+    total_edges += static_cast<int64_t>(g.edges.size());
     EXPECT_EQ(g.edges.size(), 1u);
   }
   EXPECT_EQ(total_edges, 3);
@@ -67,7 +67,7 @@ TEST(DifferenceSetIndex, MergesEqualDiffSets) {
   ConflictGraph cg = BuildConflictGraph(enc, sigma);
   DifferenceSetIndex index(enc, cg);
   ASSERT_EQ(index.size(), 1);
-  EXPECT_EQ(index.group(0).frequency(), 3);
+  EXPECT_EQ(index.group(0).edges.size(), 3u);
   EXPECT_EQ(index.group(0).diff, AttrSet{1});
 }
 

@@ -33,6 +33,7 @@
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
 #include "src/obs/metrics.h"
+#include "src/relational/csv.h"
 #include "src/service/client.h"
 #include "src/service/event_loop.h"
 #include "src/service/server.h"
@@ -48,9 +49,9 @@ struct ObsTenant {
   std::vector<std::string> fd_texts;
 };
 
-ObsTenant MakeObsTenant() {
+ObsTenant MakeObsTenant(int num_tuples = 90) {
   CensusConfig gen;
-  gen.num_tuples = 90;
+  gen.num_tuples = num_tuples;
   gen.num_attrs = 8;
   gen.planted_lhs_sizes = {2, 2};
   gen.seed = 91;
@@ -180,11 +181,15 @@ TEST(ObsServiceTrace, TracedRepairReturnsMultiLevelSpanTree) {
   ASSERT_NE(FindSpan(*trace, "decode"), nullptr);
   const Json* queue_wait = FindSpan(*trace, "queue_wait");
   ASSERT_NE(queue_wait, nullptr);
+  const Json* tenant_open = FindSpan(*trace, "tenant_open");
+  ASSERT_NE(tenant_open, nullptr);
   const Json* service = FindSpan(*trace, "service");
   ASSERT_NE(service, nullptr);
 
-  // queue_wait and service both elapse inside the root's window.
+  // queue_wait, tenant_open and service all elapse inside the root's
+  // window.
   const double accounted = queue_wait->Get("seconds")->AsNumber() +
+                           tenant_open->Get("seconds")->AsNumber() +
                            service->Get("seconds")->AsNumber();
   EXPECT_LE(accounted, total + 0.001);
 
@@ -208,6 +213,30 @@ TEST(ObsServiceTrace, TracedRepairReturnsMultiLevelSpanTree) {
 }
 
 // --- bit-identity --------------------------------------------------------
+
+// A tenant registered from a CSV opens lazily on its first request, on the
+// worker, after the request has left the queue. On an idle server that
+// open is booked as tenant_open, not as queue wait.
+TEST(ObsServiceTrace, LazyCsvOpenIsTenantOpenNotQueueWait) {
+  obs::MetricsRegistry registry;
+  WireHarness wire(ObsServerOptions(&registry));
+  ObsTenant lazy = MakeObsTenant(400);
+  const std::string path = TempPath("obs_lazy.csv");
+  WriteCsvFile(lazy.data, path);
+  ASSERT_TRUE(wire.server.LoadCsvTenant("lazy", path, lazy.fd_texts).ok());
+
+  Json reply = wire.Call(RepairJson("lazy", 0.5, 7, /*traced=*/true));
+  ASSERT_NE(reply.Get("ok"), nullptr);
+  ASSERT_TRUE(reply.Get("ok")->AsBool());
+  const Json* trace = reply.Get("trace");
+  ASSERT_NE(trace, nullptr);
+  const Json* queue_wait = FindSpan(*trace, "queue_wait");
+  ASSERT_NE(queue_wait, nullptr);
+  const Json* tenant_open = FindSpan(*trace, "tenant_open");
+  ASSERT_NE(tenant_open, nullptr);
+  EXPECT_GT(tenant_open->Get("seconds")->AsNumber(),
+            queue_wait->Get("seconds")->AsNumber());
+}
 
 TEST(ObsServiceTrace, UntracedReplyIsBitIdenticalToSerialSession) {
   obs::MetricsRegistry registry;

@@ -231,6 +231,54 @@ TEST(SnapshotRoundTrip, FreshVariableCountersSurviveTheFile) {
   }
 }
 
+// Under an empty-LHS FD the pairs that disagree on every attribute are
+// conflict edges, and the snapshot stores them like any other group's. A
+// restored session answers like the one that saved it, and after one
+// insert on both sides like a session opened fresh over the new data.
+TEST(SnapshotRoundTrip, EmptyLhsSessionRoundTrips) {
+  Instance inst(Schema::FromNames({"A", "B", "C"}));
+  for (const char* row : {"111", "222", "123", "311", "432", "234", "545",
+                          "141"}) {
+    inst.AddTuple({Value(std::string(1, row[0])),
+                   Value(std::string(1, row[1])),
+                   Value(std::string(1, row[2]))});
+  }
+  const std::vector<std::string> fds = {"->A", "B->C"};
+  Result<Session> original = Session::Open(inst, fds);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  const AttrSet universe = AttrSet::Universe(3);
+  bool has_universe_group = false;
+  for (const DiffSetGroup& g : original->context().index().groups()) {
+    has_universe_group |= g.diff == universe && !g.edges.empty();
+  }
+  ASSERT_TRUE(has_universe_group);
+
+  const std::string path = TempPath("empty_lhs.snap");
+  ASSERT_TRUE(original->SaveSnapshot(path).ok());
+
+  const std::vector<Value> insert = {Value("6"), Value("6"), Value("6")};
+  DeltaBatch delta;
+  delta.Insert(insert);
+  Instance grown = inst;
+  grown.AddTuple(insert);
+  Result<Session> fresh = Session::Open(grown, fds);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  for (int threads : {1, 4}) {
+    SessionOptions opts;
+    opts.exec.num_threads = threads;
+    Result<Session> restored = Session::OpenSnapshot(path, opts);
+    ASSERT_TRUE(restored.ok())
+        << threads << ": " << restored.status().ToString();
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectSameAnswers(*original, *restored, label.c_str());
+    ASSERT_TRUE(restored->Apply(delta).ok());
+    ExpectSameAnswers(*fresh, *restored, (label + " post-delta").c_str());
+  }
+  ASSERT_TRUE(original->Apply(delta).ok());
+  ExpectSameAnswers(*fresh, *original, "original post-delta");
+}
+
 // --- Hostile bytes --------------------------------------------------------
 
 class SnapshotCorruption : public ::testing::Test {
@@ -288,8 +336,8 @@ TEST_F(SnapshotCorruption, FutureFormatVersionIsVersionMismatch) {
   // Patch the version field and RE-COMPUTE the checksum, so the only
   // thing wrong with the file is the version — the reader must classify
   // it as kVersionMismatch, not generic corruption. The previous version
-  // (v2, which carried a second fresh-variable counter array) is refused
-  // the same way: such a file must be re-saved.
+  // (v3, which carried a per-group counted-pair field) is refused the same
+  // way: such a file must be re-saved.
   for (uint32_t version : {persist::kSnapshotFormatVersion + 1,
                            persist::kSnapshotFormatVersion - 1}) {
     std::string patched = bytes_;
