@@ -1,21 +1,22 @@
-// Difference-set index construction vs tuple count (ROADMAP item 1).
+// Difference-set index construction vs tuple count.
 //
 // The naive builder walks all C(n,2) tuple pairs; the blocked builder
-// (BuildDifferenceSetIndexBlocked) only enumerates pairs INSIDE
-// per-attribute equivalence classes and counts the disagree-everywhere
-// remainder without materializing it, so its work scales with
-// Σ_classes |c|² instead of n². This bench measures both:
+// enumerates, for each FD X -> A, only its violating pairs (the stripped
+// X-classes split by A) and stores each pair once, under the first FD it
+// violates — so its work scales with the output, not with n². This bench
+// measures both:
 //
 //   * a blocked-only scaling sweep at n = 10k/100k/500k (·scale) with the
-//     per-phase breakdown and the candidate-vs-all-pairs ratio that shows
-//     the enumeration staying sub-quadratic;
+//     per-phase breakdown, the candidate-vs-all-pairs ratio that shows the
+//     enumeration staying sub-quadratic, and the candidate-vs-materialized
+//     ratio that shows it staying output-sensitive;
 //   * a head-to-head blocked-vs-naive comparison at n = 50k (·scale),
 //     asserting the two indexes are bit-identical — the naive path stays
 //     available behind DiffSetBuildMode::kNaive exactly so it can serve as
 //     this oracle.
 //
 // Writes BENCH_diffset.json; CI's Release smoke step asserts the headline
-// speedup_x >= 5.
+// speedup_x >= 5 and pairs_candidate <= 1.5 * pairs_materialized per row.
 
 #include <algorithm>
 #include <cstdio>
@@ -36,11 +37,11 @@ struct Dataset {
   FDSet sigma;
 };
 
-/// Census-like data tuned to the regime the blocked build targets: every
-/// attribute informative (no flag-like noise columns), near-uniform value
-/// popularity, and a domain that grows with n — so per-attribute classes
-/// stay around dup_factor·archetype size instead of Θ(n). Entity clusters
-/// still guarantee plenty of wide-agreement (materialized) pairs.
+/// Census-like data: every attribute informative (no flag-like noise
+/// columns), near-uniform value popularity, and a domain that grows with
+/// n — so equivalence classes stay around dup_factor·archetype size
+/// instead of Θ(n). Entity clusters plus the perturbation still guarantee
+/// plenty of violating (materialized) pairs.
 Dataset MakeDataset(int n, uint64_t seed) {
   CensusConfig gen;
   gen.num_tuples = n;
@@ -105,19 +106,20 @@ int main() {
   const std::vector<int> sizes = {bench::ScaledN(10000),
                                   bench::ScaledN(100000),
                                   bench::ScaledN(500000)};
-  std::printf("%9s %11s %11s %11s %11s %14s %13s %13s\n", "n", "total(s)",
+  std::printf("%9s %11s %11s %11s %11s %14s %13s %9s\n", "n", "total(s)",
               "part(s)", "enum(s)", "group(s)", "candidates", "materialized",
-              "counted");
+              "cand/mat");
   std::vector<Row> rows;
   for (int n : sizes) {
     Row row = MeasureBlocked(n, /*reps=*/n <= 100000 ? 3 : 1);
     rows.push_back(row);
-    std::printf("%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %13lld\n",
+    std::printf("%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %9.3f\n",
                 row.n, row.stats.total_seconds, row.stats.partition_seconds,
                 row.stats.enumerate_seconds, row.stats.group_seconds,
                 static_cast<long long>(row.stats.pairs_candidate),
                 static_cast<long long>(row.stats.pairs_materialized),
-                static_cast<long long>(row.stats.pairs_counted));
+                static_cast<double>(row.stats.pairs_candidate) /
+                    std::max<int64_t>(1, row.stats.pairs_materialized));
   }
 
   // Head-to-head at a size where the naive build is still bearable.
@@ -162,12 +164,11 @@ int main() {
           "\"partition_seconds\": %.6f, \"enumerate_seconds\": %.6f, "
           "\"group_seconds\": %.6f, \"pairs_all\": %lld, "
           "\"pairs_candidate\": %lld, \"pairs_materialized\": %lld, "
-          "\"pairs_counted\": %lld, \"groups\": %lld}%s\n",
+          "\"groups\": %lld}%s\n",
           r.n, r.stats.total_seconds, r.stats.partition_seconds,
           r.stats.enumerate_seconds, r.stats.group_seconds, all_pairs,
           static_cast<long long>(r.stats.pairs_candidate),
           static_cast<long long>(r.stats.pairs_materialized),
-          static_cast<long long>(r.stats.pairs_counted),
           static_cast<long long>(r.groups),
           i + 1 < rows.size() ? "," : "");
     }

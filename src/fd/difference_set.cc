@@ -8,6 +8,7 @@
 
 #include "src/exec/parallel_for.h"
 #include "src/fd/partition.h"
+#include "src/fd/violation.h"
 
 namespace retrust {
 
@@ -32,27 +33,31 @@ void RankGroups(std::vector<Group>* groups) {
             });
 }
 
-/// Groups (edge, diff) records — already in canonical ascending edge
-/// order — into DiffSetGroups, preserving that order inside each group.
-/// Pre-sizes the map and each group's edge vector (one counting pass) so
-/// the serial phase never rehashes or reallocates on large inputs.
-std::vector<DiffSetGroup> GroupEdges(
-    const std::vector<std::pair<Edge, AttrSet>>& records) {
-  std::unordered_map<AttrSet, int64_t, AttrSetHash> freq;
-  freq.reserve(64);
-  for (const auto& [edge, diff] : records) ++freq[diff];
-
+/// Groups edges[k] under diffs[k] into DiffSetGroups, preserving the
+/// edges' order inside each group (callers pass canonical ascending edge
+/// order). An empty diff marks a pair that is not stored. One hash probe
+/// per edge assigns its group; each group's edge vector is pre-sized
+/// before the second, probe-free pass fills it.
+std::vector<DiffSetGroup> GroupEdges(const std::vector<Edge>& edges,
+                                     const std::vector<AttrSet>& diffs) {
+  std::unordered_map<AttrSet, int32_t, AttrSetHash> group_of;
   std::vector<DiffSetGroup> groups;
-  groups.reserve(freq.size());
-  std::unordered_map<AttrSet, int, AttrSetHash> index;
-  index.reserve(freq.size());
-  for (const auto& [edge, diff] : records) {
-    auto [it, inserted] = index.emplace(diff, static_cast<int>(groups.size()));
+  std::vector<size_t> sizes;
+  std::vector<int32_t> slot(edges.size(), -1);
+  for (size_t k = 0; k < edges.size(); ++k) {
+    if (diffs[k].Empty()) continue;
+    auto [it, inserted] =
+        group_of.emplace(diffs[k], static_cast<int32_t>(groups.size()));
     if (inserted) {
-      groups.push_back({diff, {}});
-      groups.back().edges.reserve(static_cast<size_t>(freq[diff]));
+      groups.push_back({diffs[k], {}});
+      sizes.push_back(0);
     }
-    groups[it->second].edges.push_back(edge);
+    slot[k] = it->second;
+    ++sizes[it->second];
+  }
+  for (size_t g = 0; g < groups.size(); ++g) groups[g].edges.reserve(sizes[g]);
+  for (size_t k = 0; k < edges.size(); ++k) {
+    if (slot[k] >= 0) groups[slot[k]].edges.push_back(edges[k]);
   }
   return groups;
 }
@@ -97,15 +102,14 @@ DifferenceSetIndex::DifferenceSetIndex(const EncodedInstance& inst,
   // Sharded O(E·m) phase: the difference set of each edge, written by edge
   // index (disjoint slots, trivially deterministic). Grouping then runs
   // serially in the graph's canonical edge order.
-  std::vector<std::pair<Edge, AttrSet>> records(edges.size());
+  std::vector<AttrSet> diffs(edges.size());
   exec::ParallelFor(pool, static_cast<int64_t>(edges.size()),
                     [&](int64_t begin, int64_t end, int /*chunk*/) {
                       for (int64_t i = begin; i < end; ++i) {
-                        records[i] = {edges[i], DiffSetOfPair(inst, edges[i].u,
-                                                              edges[i].v)};
+                        diffs[i] = DiffSetOfPair(inst, edges[i].u, edges[i].v);
                       }
                     });
-  groups_ = GroupEdges(records);
+  groups_ = GroupEdges(edges, diffs);
   RankGroups(&groups_);
 }
 
@@ -243,173 +247,62 @@ std::string DifferenceSetIndex::ToString(const Schema& schema) const {
 
 namespace {
 
-/// Every pair that disagrees on all attributes, in ascending (u, v) order:
-/// an all-pairs scan sharded on `pool` over contiguous u-ranges, so
-/// chunk-order concatenation is already canonical.
-std::vector<Edge> FullDisagreementEdges(const std::vector<const int32_t*>& cols,
-                                        int n, exec::ThreadPool* pool) {
-  const int m = static_cast<int>(cols.size());
-  exec::ChunkPlan plan = exec::PlanChunks(n, pool);
-  std::vector<std::vector<Edge>> per_chunk(
-      static_cast<size_t>(std::max(plan.num_chunks, 1)));
-  exec::ParallelFor(pool, plan, [&](int64_t begin, int64_t end, int chunk) {
-    for (TupleId u = static_cast<TupleId>(begin);
-         u < static_cast<TupleId>(end); ++u) {
-      for (TupleId v = u + 1; v < n; ++v) {
-        bool all_differ = true;
-        for (AttrId a = 0; a < m && all_differ; ++a) {
-          all_differ = cols[a][u] != cols[a][v];
-        }
-        if (all_differ) per_chunk[chunk].emplace_back(u, v);
-      }
-    }
-  });
-  std::vector<Edge> edges;
-  for (const std::vector<Edge>& c : per_chunk) {
-    edges.insert(edges.end(), c.begin(), c.end());
-  }
-  return edges;
-}
-
 // The blocked build (see BuildDifferenceSetIndex in the header).
 DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
                                                   const FDSet& sigma,
                                                   exec::ThreadPool* pool,
                                                   DiffSetBuildStats* stats) {
-  if (sigma.size() > 64) {
-    throw std::invalid_argument("conflict graph supports at most 64 FDs");
-  }
   const auto t_start = std::chrono::steady_clock::now();
-  const int n = inst.NumTuples();
   const int m = inst.NumAttrs();
   std::vector<const int32_t*> cols(m);
   for (AttrId a = 0; a < m; ++a) cols[a] = inst.ColumnData(a);
 
-  // Phase 1 — blocking structure: one partition per attribute, stripped to
-  // classes of >= 2 tuples. Work units are (attribute, class) spans in a
-  // flat deterministic order: attributes ascending, classes in label
-  // (first-occurrence) order, members ascending.
-  struct Unit {
-    AttrId attr;
-    int32_t begin;  ///< span into members[attr]
-    int32_t end;
-  };
-  std::vector<std::vector<TupleId>> members(m);
-  std::vector<Unit> units;
-  for (AttrId a = 0; a < m; ++a) {
-    std::vector<std::vector<TupleId>> classes =
-        PartitionBy(inst, AttrSet::Single(a)).StrippedClasses();
-    size_t total = 0;
-    for (const auto& c : classes) total += c.size();
-    members[a].reserve(total);
-    for (const auto& c : classes) {
-      units.push_back({a, static_cast<int32_t>(members[a].size()),
-                       static_cast<int32_t>(members[a].size() + c.size())});
-      members[a].insert(members[a].end(), c.begin(), c.end());
-    }
-  }
-  const double partition_seconds = SecondsSince(t_start);
+  DiffSetBuildStats out;
+  std::vector<DiffSetGroup> groups;
+  FDSet earlier;  // the FDs before the current one, in Σ order
+  for (const FD& fd : sigma.fds()) {
+    // Partition — the stripped X-classes (an empty X is one class).
+    auto t_phase = std::chrono::steady_clock::now();
+    const StrippedPartition lhs_classes =
+        StripClasses(PartitionBy(inst, fd.lhs));
+    out.partition_seconds += SecondsSince(t_phase);
 
-  // Phase 2 — in-class pair enumeration, sharded over units. A pair inside
-  // attribute a's class is OWNED by a iff the two tuples disagree on every
-  // attribute before a (the first-agreeing-attribute rule): each pair that
-  // agrees somewhere is emitted by exactly one unit, so the concatenated
-  // chunk buffers hold globally distinct edges and one canonical sort makes
-  // the order thread-count independent.
-  const auto t_enumerate = std::chrono::steady_clock::now();
-  struct ChunkOut {
-    std::vector<std::pair<Edge, AttrSet>> records;
-    int64_t candidate = 0;
-    int64_t owned = 0;
-  };
-  exec::ChunkPlan plan =
-      exec::PlanChunks(static_cast<int64_t>(units.size()), pool);
-  std::vector<ChunkOut> per_chunk(
-      static_cast<size_t>(std::max(plan.num_chunks, 1)));
-  exec::ParallelFor(
-      pool, plan, [&](int64_t begin, int64_t end, int chunk) {
-        ChunkOut& out = per_chunk[chunk];
-        for (int64_t ui = begin; ui < end; ++ui) {
-          const Unit& unit = units[ui];
-          const AttrId a = unit.attr;
-          const TupleId* cls = members[a].data();
-          for (int32_t i = unit.begin; i < unit.end; ++i) {
-            const TupleId u = cls[i];
-            for (int32_t j = i + 1; j < unit.end; ++j) {
-              const TupleId v = cls[j];
-              ++out.candidate;
-              bool owned = true;
-              for (AttrId b = 0; b < a; ++b) {
-                if (cols[b][u] == cols[b][v]) {
-                  owned = false;
-                  break;
-                }
-              }
-              if (!owned) continue;
-              ++out.owned;
-              // Ownership already proved every attribute before a differs
-              // (and a itself agrees), so only the tail needs comparing.
-              AttrSet diff = AttrSet::Universe(a);
-              for (AttrId b = a + 1; b < m; ++b) {
-                if (cols[b][u] != cols[b][v]) diff.Add(b);
-              }
-              if (DiffSetViolates(diff, sigma)) {
-                out.records.emplace_back(Edge(u, v), diff);
-              }
-            }
-          }
-        }
-      });
-  std::vector<std::pair<Edge, AttrSet>> records;
-  int64_t candidate = 0, owned = 0;
-  {
-    size_t total = 0;
-    for (const ChunkOut& c : per_chunk) total += c.records.size();
-    records.reserve(total);
-    for (ChunkOut& c : per_chunk) {
-      records.insert(records.end(), c.records.begin(), c.records.end());
-      candidate += c.candidate;
-      owned += c.owned;
-    }
-  }
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  const double enumerate_seconds = SecondsSince(t_enumerate);
+    // Enumerate — the FD's violating pairs, ascending, sharded over
+    // classes. A pair is OWNED by the first FD in Σ order that it
+    // violates; ownership depends only on its diff, so the pair keeps its
+    // diff here iff it violates no earlier FD (an empty diff = not stored).
+    t_phase = std::chrono::steady_clock::now();
+    const std::vector<Edge> pairs =
+        ViolatingPairs(inst, lhs_classes, fd.rhs, pool);
+    std::vector<AttrSet> diffs(pairs.size());
+    exec::ParallelFor(pool, static_cast<int64_t>(pairs.size()),
+                      [&](int64_t begin, int64_t end, int /*chunk*/) {
+                        for (int64_t k = begin; k < end; ++k) {
+                          const AttrSet diff = DiffSetOfPair(
+                              cols.data(), m, pairs[k].u, pairs[k].v);
+                          if (!DiffSetViolates(diff, earlier)) diffs[k] = diff;
+                        }
+                      });
+    out.pairs_candidate += static_cast<int64_t>(pairs.size());
+    out.enumerate_seconds += SecondsSince(t_phase);
 
-  // Phase 3 — group in canonical edge order, add the full-disagreement
-  // group, and rank. Every pair NOT owned by some attribute disagrees
-  // everywhere; those pairs share diff = universe and enter the index only
-  // when an empty-LHS FD makes the universe diff violating at all.
-  const auto t_group = std::chrono::steady_clock::now();
-  std::vector<DiffSetGroup> groups = GroupEdges(records);
-  int64_t stored = static_cast<int64_t>(records.size());
-  const int64_t total_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
-  const int64_t full_disagreement = total_pairs - owned;
-  const AttrSet universe = AttrSet::Universe(m);
-  if (full_disagreement > 0 && DiffSetViolates(universe, sigma)) {
-    std::vector<Edge> edges = FullDisagreementEdges(cols, n, pool);
-    if (static_cast<int64_t>(edges.size()) != full_disagreement) {
-      throw std::logic_error(
-          "full-disagreement scan disagrees with the ownership count");
+    // Group — a diff has one owner, so the FD's groups hold every edge of
+    // their diff, already in ascending order.
+    t_phase = std::chrono::steady_clock::now();
+    for (DiffSetGroup& group : GroupEdges(pairs, diffs)) {
+      out.pairs_materialized += static_cast<int64_t>(group.edges.size());
+      groups.push_back(std::move(group));
     }
-    stored += full_disagreement;
-    groups.push_back({universe, std::move(edges)});
+    out.group_seconds += SecondsSince(t_phase);
+    earlier.Add(fd);
   }
+  const auto t_rank = std::chrono::steady_clock::now();
   RankGroups(&groups);
-  DifferenceSetIndex index(std::move(groups));
-  const double group_seconds = SecondsSince(t_group);
-
-  if (stats != nullptr) {
-    stats->pairs_candidate = candidate;
-    stats->pairs_owned = owned;
-    stats->pairs_materialized = stored;
-    stats->pairs_counted = full_disagreement;
-    stats->partition_seconds = partition_seconds;
-    stats->enumerate_seconds = enumerate_seconds;
-    stats->group_seconds = group_seconds;
-    stats->total_seconds = SecondsSince(t_start);
-  }
-  return index;
+  out.group_seconds += SecondsSince(t_rank);
+  out.pairs_owned = out.pairs_materialized;
+  out.total_seconds = SecondsSince(t_start);
+  if (stats != nullptr) *stats = out;
+  return DifferenceSetIndex(std::move(groups));
 }
 
 }  // namespace
@@ -419,19 +312,19 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
                                            exec::ThreadPool* pool,
                                            DiffSetBuildMode mode,
                                            DiffSetBuildStats* stats) {
+  if (sigma.size() > 64) {
+    throw std::invalid_argument("conflict graph supports at most 64 FDs");
+  }
   if (mode == DiffSetBuildMode::kBlocked) {
     return BuildDifferenceSetIndexBlocked(inst, sigma, pool, stats);
   }
 
   // kNaive: the quadratic oracle — a direct scan over all C(n,2) tuple
   // pairs, each difference set computed from the columns. Deliberately free
-  // of the blocking machinery (partitions, ownership) so the blocked
-  // builder has an independent witness and the scaling bench an honest
-  // baseline; shares the grouping/ranking conventions of phase 3 so the two
-  // builders emit bit-identical indexes.
-  if (sigma.size() > 64) {
-    throw std::invalid_argument("conflict graph supports at most 64 FDs");
-  }
+  // of the partition machinery so the blocked builder has an independent
+  // witness and the scaling bench an honest baseline; shares the
+  // grouping/ranking conventions so the two builders emit bit-identical
+  // indexes.
   const auto t_start = std::chrono::steady_clock::now();
   const int n = inst.NumTuples();
   const int m = inst.NumAttrs();
@@ -440,7 +333,8 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
   const AttrSet universe = AttrSet::Universe(m);
 
   struct ChunkOut {
-    std::vector<std::pair<Edge, AttrSet>> records;
+    std::vector<Edge> edges;
+    std::vector<AttrSet> diffs;
     int64_t full = 0;  ///< disagree-everywhere pairs (stats only)
   };
   exec::ChunkPlan plan = exec::PlanChunks(n, pool);
@@ -455,28 +349,26 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
         AttrSet diff = DiffSetOfPair(cols.data(), m, u, v);
         if (diff == universe) ++out.full;
         if (DiffSetViolates(diff, sigma)) {
-          out.records.emplace_back(Edge(u, v), diff);
+          out.edges.emplace_back(u, v);
+          out.diffs.push_back(diff);
         }
       }
     }
   });
   // Chunks are contiguous u-ranges and each inner loop ascends, so plain
   // chunk-order concatenation is already the canonical ascending edge order.
-  std::vector<std::pair<Edge, AttrSet>> records;
+  std::vector<Edge> edges;
+  std::vector<AttrSet> diffs;
   int64_t full_disagreement = 0;
-  {
-    size_t total = 0;
-    for (const ChunkOut& c : per_chunk) total += c.records.size();
-    records.reserve(total);
-    for (ChunkOut& c : per_chunk) {
-      records.insert(records.end(), c.records.begin(), c.records.end());
-      full_disagreement += c.full;
-    }
+  for (const ChunkOut& c : per_chunk) {
+    edges.insert(edges.end(), c.edges.begin(), c.edges.end());
+    diffs.insert(diffs.end(), c.diffs.begin(), c.diffs.end());
+    full_disagreement += c.full;
   }
   const double enumerate_seconds = SecondsSince(t_start);
 
   const auto t_group = std::chrono::steady_clock::now();
-  std::vector<DiffSetGroup> groups = GroupEdges(records);
+  std::vector<DiffSetGroup> groups = GroupEdges(edges, diffs);
   RankGroups(&groups);
   DifferenceSetIndex index(std::move(groups));
   const double group_seconds = SecondsSince(t_group);
@@ -485,7 +377,7 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
     *stats = DiffSetBuildStats{};
     stats->pairs_candidate = static_cast<int64_t>(n) * (n - 1) / 2;
     stats->pairs_owned = stats->pairs_candidate - full_disagreement;
-    stats->pairs_materialized = static_cast<int64_t>(records.size());
+    stats->pairs_materialized = static_cast<int64_t>(edges.size());
     stats->pairs_counted = full_disagreement;
     stats->enumerate_seconds = enumerate_seconds;
     stats->group_seconds = group_seconds;

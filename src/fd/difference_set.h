@@ -9,12 +9,12 @@
 //
 // Two builders produce the same index (DESIGN.md "Blocked difference-set
 // construction"):
-//   * naive  — all O(n²) pairs through the conflict graph (the oracle);
-//   * blocked — per-attribute equivalence-class partitions enumerate only
-//     pairs that agree on at least one attribute, deduped by the
-//     first-agreeing-attribute ownership rule. The residual pairs that
-//     disagree EVERYWHERE are conflict edges only under an empty-LHS FD;
-//     then one all-pairs scan stores them as the universe group.
+//   * naive  — all O(n²) pairs, each diff computed from the columns (the
+//     oracle);
+//   * blocked — each FD X -> A in Σ order enumerates only its violating
+//     pairs (the stripped X-classes split by A, violation.h) and keeps a
+//     pair iff no earlier FD is violated by its diff: every pair is stored
+//     once, by the first FD it violates.
 // Both are bit-identical at any thread count; blocked is the default.
 
 #ifndef RETRUST_FD_DIFFERENCE_SET_H_
@@ -48,15 +48,19 @@ struct DiffSetGroup {
 /// Per-phase observability of one index build (the --timing surface of
 /// csv_repair_tool and the scaling bench).
 struct DiffSetBuildStats {
-  int64_t pairs_candidate = 0;     ///< pairs enumerated inside classes
-  int64_t pairs_owned = 0;         ///< pairs passing the ownership rule
+  /// Pairs enumerated: blocked, Σ over FDs of its violating pairs; naive,
+  /// all C(n,2) pairs.
+  int64_t pairs_candidate = 0;
+  /// Blocked: pairs owned by their first violated FD (= pairs_materialized).
+  /// Naive: pairs that agree on some attribute.
+  int64_t pairs_owned = 0;
   int64_t pairs_materialized = 0;  ///< conflict edges stored in groups
-  /// Pairs that agree on no attribute. The partition phase never
-  /// enumerates them; they are stored only when Σ has an empty-LHS FD.
+  /// Naive only: pairs that agree on no attribute (stored only when Σ has
+  /// an empty-LHS FD). The blocked build never singles them out: 0.
   int64_t pairs_counted = 0;
-  double partition_seconds = 0.0;  ///< per-attribute partition phase
-  double enumerate_seconds = 0.0;  ///< in-class pair enumeration phase
-  double group_seconds = 0.0;      ///< merge + group + rank phase
+  double partition_seconds = 0.0;  ///< PartitionBy + strip, per FD
+  double enumerate_seconds = 0.0;  ///< pair emission, diff and ownership
+  double group_seconds = 0.0;      ///< grouping + ranking
   double total_seconds = 0.0;
 };
 
@@ -142,16 +146,13 @@ bool DiffSetViolates(AttrSet diff, const FDSet& fds);
 /// data-repair pass. `stats`, when non-null, receives the build's
 /// per-phase breakdown.
 ///
-/// kBlocked: per-attribute partitions (PartitionBy) restrict pair
-/// enumeration to equivalence classes, the first-agreeing-attribute
-/// ownership rule emits each agree-somewhere pair exactly once, and the
-/// residual disagree-everywhere pairs are counted, not enumerated. Work
-/// is sharded over (attribute, class) units with canonical merge order.
-/// O(Σ_classes |c|²·m) instead of O(n²·m); sub-quadratic whenever
-/// per-attribute classes stay small. Only an empty-LHS FD makes the
-/// residual pairs conflict edges; then an all-pairs scan, sharded over
-/// u-ranges, stores them as the universe group. kNaive scans all C(n,2)
-/// pairs.
+/// kBlocked: for each FD X -> A in Σ order, its violating pairs — the
+/// stripped X-classes (partition.h) split by A, sharded over classes —
+/// each stored iff its diff violates no earlier FD. Each group's edges then
+/// come from one FD's ascending pair list, so grouping in list order is
+/// canonical. O(n·|X|) per FD plus O(m) per enumerated pair: output-
+/// sensitive. An empty X is one class holding every tuple. kNaive scans
+/// all C(n,2) pairs. Both throw std::invalid_argument for |Σ| > 64.
 DifferenceSetIndex BuildDifferenceSetIndex(
     const EncodedInstance& inst, const FDSet& sigma,
     exec::ThreadPool* pool = nullptr,

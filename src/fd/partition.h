@@ -26,10 +26,27 @@ struct Partition {
   int64_t Error() const {
     return static_cast<int64_t>(labels.size()) - num_classes;
   }
-
-  /// Classes with >= 2 tuples (the "stripped" representation).
-  std::vector<std::vector<TupleId>> StrippedClasses() const;
 };
+
+/// The "stripped" representation of a partition: its classes of >= 2
+/// tuples in CSR layout, in label order. Labels are assigned in
+/// first-occurrence order, so class c's smallest tuple id ascends in c — a
+/// deterministic work-unit order for sharded kernels. `members` holds each
+/// class's tuple ids ascending, classes back to back.
+struct StrippedPartition {
+  std::vector<TupleId> members;
+  /// Class c is members[offsets[c], offsets[c + 1]).
+  std::vector<int32_t> offsets;
+
+  int num_classes() const { return static_cast<int>(offsets.size()) - 1; }
+  const TupleId* class_begin(int c) const {
+    return members.data() + offsets[c];
+  }
+  int class_size(int c) const { return offsets[c + 1] - offsets[c]; }
+};
+
+/// Strips `p` to its classes of >= 2 tuples. O(n).
+StrippedPartition StripClasses(const Partition& p);
 
 /// Partition of `inst` on `attrs` (empty set => single class).
 Partition PartitionBy(const EncodedInstance& inst, AttrSet attrs);

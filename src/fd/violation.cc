@@ -1,69 +1,51 @@
 #include "src/fd/violation.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/exec/parallel_for.h"
-#include "src/fd/partition.h"
 
 namespace retrust {
 namespace {
 
-// CSR view of one partition's classes of size >= 2, in label order (labels
-// are assigned in first-occurrence order, so class k's smallest tuple id is
-// ascending in k — a deterministic work-unit order for the sharded phase).
-// `members` holds each class's tuple ids ascending, classes back to back.
-struct StrippedCsr {
-  std::vector<TupleId> members;
-  std::vector<int32_t> offsets;  ///< offsets[i]..offsets[i+1) in members
-
-  int num_classes() const { return static_cast<int>(offsets.size()) - 1; }
-};
-
-StrippedCsr StripClasses(const Partition& p) {
-  const int n = static_cast<int>(p.labels.size());
-  std::vector<int32_t> counts(p.num_classes, 0);
-  for (int32_t label : p.labels) ++counts[label];
-
-  // Dense class ids for the classes that survive the >= 2 filter.
-  std::vector<int32_t> slot(p.num_classes, -1);
-  StrippedCsr csr;
-  csr.offsets.push_back(0);
-  int32_t total = 0;
-  for (int32_t label = 0; label < p.num_classes; ++label) {
-    if (counts[label] < 2) continue;
-    slot[label] = csr.num_classes();
-    total += counts[label];
-    csr.offsets.push_back(total);
-  }
-  csr.members.resize(total);
-  std::vector<int32_t> fill(csr.num_classes(), 0);
-  for (TupleId t = 0; t < n; ++t) {
-    const int32_t s = slot[p.labels[t]];
-    if (s < 0) continue;
-    csr.members[csr.offsets[s] + fill[s]++] = t;
-  }
-  return csr;
-}
-
-// Emits all violating pairs of one LHS class: sub-partition on the RHS
-// code, then all cross-group pairs.
+// Emits all violating pairs of one LHS class: order its members by RHS code
+// (`by_code` is the chunk's reusable buffer), then every pair across two
+// runs of equal code.
 void EmitClassPairs(const int32_t* rhs_col, const TupleId* tuples, int count,
+                    std::vector<std::pair<int32_t, TupleId>>* by_code,
                     std::vector<Edge>* out) {
-  std::unordered_map<int32_t, std::vector<TupleId>> groups;
+  by_code->clear();
   for (int i = 0; i < count; ++i) {
-    groups[rhs_col[tuples[i]]].push_back(tuples[i]);
+    by_code->emplace_back(rhs_col[tuples[i]], tuples[i]);
   }
-  if (groups.size() < 2) return;
-  for (auto it = groups.begin(); it != groups.end(); ++it) {
-    auto jt = it;
-    for (++jt; jt != groups.end(); ++jt) {
-      for (TupleId u : it->second) {
-        for (TupleId v : jt->second) out->emplace_back(u, v);
+  std::sort(by_code->begin(), by_code->end());
+  for (int begin = 0, end; begin < count; begin = end) {
+    end = begin + 1;
+    while (end < count && (*by_code)[end].first == (*by_code)[begin].first) {
+      ++end;
+    }
+    for (int i = begin; i < end; ++i) {
+      for (int j = end; j < count; ++j) {
+        out->emplace_back((*by_code)[i].second, (*by_code)[j].second);
       }
     }
   }
+}
+
+// Sorts `edges` (endpoints in [0, n)) into canonical ascending order in
+// O(E + n): two stable counting passes, by v and then by u.
+void SortEdges(std::vector<Edge>* edges, int n) {
+  std::vector<Edge> by_v(edges->size());
+  std::vector<int64_t> start(static_cast<size_t>(n) + 1);
+  auto pass = [&](const std::vector<Edge>& from, std::vector<Edge>* to,
+                  int32_t Edge::*key) {
+    std::fill(start.begin(), start.end(), 0);
+    for (const Edge& e : from) ++start[e.*key + 1];
+    for (int t = 0; t < n; ++t) start[t + 1] += start[t];
+    for (const Edge& e : from) (*to)[start[e.*key]++] = e;
+  };
+  pass(*edges, &by_v, &Edge::v);
+  pass(by_v, edges, &Edge::u);
 }
 
 }  // namespace
@@ -101,35 +83,40 @@ std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd) {
 
 std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd,
                                  exec::ThreadPool* pool) {
-  std::vector<Edge> out;
-  if (fd.IsTrivial()) return out;
+  if (fd.IsTrivial()) return {};
   // The violating pairs of X -> A are exactly the same-X-class,
   // different-A pairs, so the partition machinery (partition.h) does the
   // heavy lifting: no pair outside an X-class is ever looked at.
-  const StrippedCsr csr = StripClasses(PartitionBy(inst, fd.lhs));
-  const int32_t* rhs_col = inst.ColumnData(fd.rhs);
+  return ViolatingPairs(inst, StripClasses(PartitionBy(inst, fd.lhs)), fd.rhs,
+                        pool);
+}
 
+std::vector<Edge> ViolatingPairs(const EncodedInstance& inst,
+                                 const StrippedPartition& lhs_classes,
+                                 AttrId rhs, exec::ThreadPool* pool) {
+  const int32_t* rhs_col = inst.ColumnData(rhs);
   // Sharded quadratic phase over classes: each chunk emits into its own
   // buffer; buffers are concatenated in chunk order and the final sort
   // makes the output canonical for any thread count.
   exec::ChunkPlan plan =
-      exec::PlanChunks(static_cast<int64_t>(csr.num_classes()), pool);
+      exec::PlanChunks(static_cast<int64_t>(lhs_classes.num_classes()), pool);
   std::vector<std::vector<Edge>> buffers(
       static_cast<size_t>(std::max(plan.num_chunks, 0)));
   exec::ParallelFor(pool, plan,
                     [&](int64_t begin, int64_t end, int chunk) {
+                      std::vector<std::pair<int32_t, TupleId>> by_code;
                       for (int64_t c = begin; c < end; ++c) {
-                        EmitClassPairs(rhs_col,
-                                       csr.members.data() + csr.offsets[c],
-                                       csr.offsets[c + 1] - csr.offsets[c],
+                        EmitClassPairs(rhs_col, lhs_classes.class_begin(c),
+                                       lhs_classes.class_size(c), &by_code,
                                        &buffers[chunk]);
                       }
                     });
+  std::vector<Edge> out;
   size_t total = 0;
   for (const auto& b : buffers) total += b.size();
   out.reserve(total);
   for (const auto& b : buffers) out.insert(out.end(), b.begin(), b.end());
-  std::sort(out.begin(), out.end());
+  SortEdges(&out, inst.NumTuples());
   return out;
 }
 
@@ -137,11 +124,11 @@ int64_t CountViolatingTuples(const EncodedInstance& inst, const FDSet& fds) {
   std::unordered_set<TupleId> violating;
   for (const FD& fd : fds.fds()) {
     if (fd.IsTrivial()) continue;
-    const StrippedCsr csr = StripClasses(PartitionBy(inst, fd.lhs));
+    const StrippedPartition classes = StripClasses(PartitionBy(inst, fd.lhs));
     const int32_t* rhs_col = inst.ColumnData(fd.rhs);
-    for (int c = 0; c < csr.num_classes(); ++c) {
-      const TupleId* tuples = csr.members.data() + csr.offsets[c];
-      const int count = csr.offsets[c + 1] - csr.offsets[c];
+    for (int c = 0; c < classes.num_classes(); ++c) {
+      const TupleId* tuples = classes.class_begin(c);
+      const int count = classes.class_size(c);
       bool mixed = false;
       for (int i = 1; i < count && !mixed; ++i) {
         mixed = rhs_col[tuples[i]] != rhs_col[tuples[0]];

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/fd/fdset.h"
+#include "src/fd/partition.h"
 #include "src/graph/graph.h"
 #include "src/relational/dictionary.h"
 
@@ -28,9 +29,10 @@ bool Satisfies(const EncodedInstance& inst, const FD& fd);
 /// True iff `inst` |= every FD in `fds`.
 bool Satisfies(const EncodedInstance& inst, const FDSet& fds);
 
-/// All tuple pairs violating `fd` (u < v, lexicographic order). May be
-/// quadratic in the size of a violating partition; intended for tests,
-/// examples, and conflict-graph construction on realistic workloads.
+/// All tuple pairs violating `fd` (u < v, lexicographic order): the one
+/// pair enumerator behind the conflict graph and the difference-set index
+/// (difference_set.h). Costs O(n·|X| + n log n) to partition and order
+/// the classes, plus O(1) per pair returned.
 std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd);
 
 /// Sharded variant: the quadratic pair-emission phase is block-partitioned
@@ -40,6 +42,14 @@ std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd);
 /// overload for any thread count.
 std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd,
                                  exec::ThreadPool* pool);
+
+/// The kernel under both overloads, for a caller that already holds the
+/// LHS's stripped partition (the difference-set index build times the
+/// partition phase on its own): the pairs of `lhs_classes` that disagree on
+/// `rhs`, in the same canonical order, sharded on `pool` over classes.
+std::vector<Edge> ViolatingPairs(const EncodedInstance& inst,
+                                 const StrippedPartition& lhs_classes,
+                                 AttrId rhs, exec::ThreadPool* pool);
 
 /// Number of tuples involved in at least one violation of `fds`.
 int64_t CountViolatingTuples(const EncodedInstance& inst, const FDSet& fds);

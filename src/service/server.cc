@@ -179,9 +179,15 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
     Retire(pending, ReplyStatusLabel(reply), queue_wait, service_seconds);
     done(std::move(reply));
   };
+  // A request that failed after dispatch (cancelled or expired in the
+  // queue, or a failed lazy open) waited in the queue like any other; one
+  // rejected before admission never queued.
   req->fail = [this, done, self = req.get(),
                on_fail = std::move(on_fail)](const Status& status) {
-    Retire(*self, StatusCodeName(status.code()), /*queue_wait=*/0.0,
+    const bool dispatched =
+        self->dispatched != std::chrono::steady_clock::time_point{};
+    Retire(*self, StatusCodeName(status.code()),
+           dispatched ? self->QueueWaitSeconds() : 0.0,
            /*service_seconds=*/0.0);
     done(on_fail(status));
   };

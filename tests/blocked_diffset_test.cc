@@ -1,8 +1,9 @@
-// Oracle tests for the blocked difference-set builder (ROADMAP item 1):
-// the partition-blocked build must be BIT-IDENTICAL to the naive all-pairs
-// build — same groups (difference set, edge order), same root δP, same
-// full search traces — at any thread count, including the empty-LHS regime
-// where the pairs that disagree everywhere are conflict edges too.
+// Oracle tests for the blocked difference-set builder: the build from each
+// FD's violating pairs must be BIT-IDENTICAL to the naive all-pairs build
+// — same groups (difference set, edge order), same root δP, same full
+// search traces — at any thread count, for random Σ (empty LHSs and shared
+// RHSs included) and in the empty-LHS regime where the pairs that disagree
+// everywhere are conflict edges too.
 
 #include <gtest/gtest.h>
 
@@ -51,12 +52,29 @@ FDSet TestSigma() {
 }
 
 /// Σ with an empty-LHS FD — the degenerate "Case B" regime where pairs
-/// disagreeing on EVERY attribute are conflict edges, which the blocked
-/// build's partitions never enumerate.
+/// disagreeing on EVERY attribute are conflict edges: the empty LHS's one
+/// class holds every tuple.
 FDSet EmptyLhsSigma() {
   FDSet sigma;
   sigma.Add(FD{AttrSet{}, 0});
   sigma.Add(FD{AttrSet{0}, 1});
+  return sigma;
+}
+
+/// A random Σ of 1–4 FDs over m attributes: each LHS attribute is drawn
+/// with probability 1/3, so LHSs may be empty, and RHSs may repeat — pairs
+/// that violate several FDs exercise the first-violated-FD ownership rule.
+FDSet RandomSigma(std::mt19937_64& rng, int m) {
+  FDSet sigma;
+  const int count = 1 + static_cast<int>(rng() % 4);
+  for (int f = 0; f < count; ++f) {
+    const AttrId rhs = static_cast<AttrId>(rng() % m);
+    AttrSet lhs;
+    for (AttrId a = 0; a < m; ++a) {
+      if (a != rhs && rng() % 3 == 0) lhs.Add(a);
+    }
+    sigma.Add(FD{lhs, rhs});
+  }
   return sigma;
 }
 
@@ -125,9 +143,7 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
     const int domain = 2 + static_cast<int>(rng() % 5);
     Instance inst = RandomInstance(rng, n, m, domain);
     EncodedInstance enc(inst);
-    FDSet sigma;
-    sigma.Add(FD{AttrSet{0}, 1});
-    if (m >= 4) sigma.Add(FD{AttrSet{2}, 3});
+    const FDSet sigma = RandomSigma(rng, m);
 
     DiffSetBuildStats blocked_stats;
     DiffSetBuildStats naive_stats;
@@ -143,9 +159,10 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
         << "round " << round;
     EXPECT_EQ(naive_stats.pairs_candidate,
               static_cast<int64_t>(n) * (n - 1) / 2);
-    // Ownership: every candidate pair is owned by at most one attribute.
-    EXPECT_LE(blocked_stats.pairs_owned, blocked_stats.pairs_candidate);
-    EXPECT_LE(blocked_stats.pairs_materialized, blocked_stats.pairs_owned);
+    // Ownership: each stored pair is owned by exactly one FD, and a pair
+    // violating several FDs is a candidate of each of them.
+    EXPECT_EQ(blocked_stats.pairs_owned, blocked_stats.pairs_materialized);
+    EXPECT_LE(blocked_stats.pairs_materialized, blocked_stats.pairs_candidate);
   }
 }
 
@@ -219,8 +236,12 @@ TEST(CountedGroups, AllDistinctWithoutEmptyLhsProducesEmptyIndex) {
   DifferenceSetIndex index = BuildDifferenceSetIndex(
       enc, sigma, {}, DiffSetBuildMode::kBlocked, &stats);
   EXPECT_TRUE(index.empty());
-  EXPECT_EQ(stats.pairs_counted, 15);  // C(6,2), none materialized
   EXPECT_EQ(stats.pairs_materialized, 0);
+  // Only the naive build counts the pairs that agree nowhere.
+  DiffSetBuildStats naive_stats;
+  BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive,
+                          &naive_stats);
+  EXPECT_EQ(naive_stats.pairs_counted, 15);  // C(6,2), none materialized
 }
 
 TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneCountedGroup) {
@@ -231,12 +252,13 @@ TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneCountedGroup) {
   }
   EncodedInstance enc(inst);
   DiffSetBuildStats stats;
+  DiffSetBuildStats naive_stats;
   DifferenceSetIndex index = BuildDifferenceSetIndex(
       enc, EmptyLhsSigma(), {}, DiffSetBuildMode::kBlocked, &stats);
   ExpectIndexIdentical(index, BuildDifferenceSetIndex(
                                   enc, EmptyLhsSigma(), {},
-                                  DiffSetBuildMode::kNaive));
-  EXPECT_EQ(stats.pairs_counted, 10);
+                                  DiffSetBuildMode::kNaive, &naive_stats));
+  EXPECT_EQ(naive_stats.pairs_counted, 10);
   EXPECT_EQ(stats.pairs_materialized, 10);
 
   // One materialized universe group: every pair, in ascending order.
@@ -260,10 +282,13 @@ TEST(CountedGroups, AllDuplicateTuplesProduceNoConflicts) {
   }
   EncodedInstance enc(inst);
   DiffSetBuildStats stats;
+  DiffSetBuildStats naive_stats;
   DifferenceSetIndex index = BuildDifferenceSetIndex(
       enc, EmptyLhsSigma(), {}, DiffSetBuildMode::kBlocked, &stats);
+  BuildDifferenceSetIndex(enc, EmptyLhsSigma(), {}, DiffSetBuildMode::kNaive,
+                          &naive_stats);
   EXPECT_TRUE(index.empty());
-  EXPECT_EQ(stats.pairs_counted, 0);  // every pair agrees somewhere
+  EXPECT_EQ(naive_stats.pairs_counted, 0);  // every pair agrees somewhere
   EXPECT_EQ(stats.pairs_materialized, 0);
 }
 

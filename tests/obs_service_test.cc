@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -381,6 +382,49 @@ TEST(ObsServiceFlight, DumpRecentReturnsNewestFirstIncludingFailures) {
   EXPECT_EQ(wire.server.RecentRequests().size(), 3u);
   EXPECT_EQ(wire.server.RecentRequests(2).size(), 2u);
   EXPECT_GE(wire.server.SlowRequestsSeen(), 2u);
+}
+
+// A request that fails after dispatch waited in the queue all the same:
+// its flight record books that wait, as the stats histogram does.
+TEST(ObsServiceFlight, FailedRequestsBookTheirQueueWait) {
+  obs::MetricsRegistry registry;
+  ServerOptions opts = ObsServerOptions(&registry);
+  opts.flight_recorder_capacity = 8;
+  opts.start_paused = true;
+  Server server(opts);
+  ObsTenant tenant = MakeObsTenant();
+  ASSERT_TRUE(server.LoadTenant("ok", tenant.data, tenant.fd_texts).ok());
+  const std::string path = TempPath("obs_malformed.csv");
+  WriteCsvFile(tenant.data, path);
+  {
+    std::ofstream append(path, std::ios::app);
+    append << "only,two\n";  // arity mismatch: the lazy open fails
+  }
+  ASSERT_TRUE(server.LoadCsvTenant("malformed", path, tenant.fd_texts).ok());
+  Client client = server.client();
+
+  Submitted<Result<RepairResponse>> cancelled =
+      client.Repair("ok", RepairRequest::AtRelative(0.5));
+  EXPECT_TRUE(client.Cancel(cancelled.id));
+  Submitted<Result<RepairResponse>> failed_open =
+      client.Repair("malformed", RepairRequest::AtRelative(0.5));
+  const std::chrono::milliseconds paused(20);
+  std::this_thread::sleep_for(paused);
+  server.Resume();
+  EXPECT_FALSE(cancelled.future.get().ok());
+  EXPECT_FALSE(failed_open.future.get().ok());
+
+  const std::vector<obs::FlightRecord> records = server.RecentRequests();
+  ASSERT_EQ(records.size(), 2u);
+  for (const obs::FlightRecord& record : records) {
+    EXPECT_NE(record.status, "ok") << record.tenant;
+    EXPECT_GE(record.queue_wait_seconds,
+              std::chrono::duration<double>(paused).count())
+        << record.tenant;
+    EXPECT_LE(record.queue_wait_seconds, record.total_seconds)
+        << record.tenant;
+    EXPECT_EQ(record.service_seconds, 0.0) << record.tenant;
+  }
 }
 
 // --- accounting identities ----------------------------------------------

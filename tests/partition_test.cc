@@ -59,9 +59,11 @@ TEST(Partition, StrippedClassesDropSingletons) {
   EncodedInstance enc(Sample());
   Partition p = PartitionBy(enc, AttrSet{0, 1});
   // Classes: {t0}, {t1}, {t2,t3} -> stripped keeps one class of size 2.
-  auto stripped = p.StrippedClasses();
-  ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0], (std::vector<TupleId>{2, 3}));
+  StrippedPartition stripped = StripClasses(p);
+  ASSERT_EQ(stripped.num_classes(), 1);
+  EXPECT_EQ(stripped.class_size(0), 2);
+  EXPECT_EQ(stripped.members, (std::vector<TupleId>{2, 3}));
+  EXPECT_EQ(stripped.offsets, (std::vector<int32_t>{0, 2}));
 }
 
 TEST(Partition, HoldsExactly) {
