@@ -2,11 +2,12 @@
 //
 // The service restart story the persistence subsystem exists for: a
 // process dies (deploy, OOM, host move) and the replacement must answer
-// requests again. Cold start pays Session::Open's O(n²) difference-set /
-// conflict-graph build; a warm start reads the src/persist/ snapshot —
-// a linear scan plus cheap index reconstruction — and comes back with the
-// cover memo already warm. Answers are bit-identical either way, so the
-// only difference a client can observe is the time to the first reply.
+// requests again. Cold start pays Session::Open's dictionary encode and
+// difference-set build; a warm start reads the src/persist/ snapshot —
+// a linear scan plus cheap reconstructions (dictionary indexes, the
+// violation table) — and comes back with the cover memo already warm.
+// Answers are bit-identical either way, so the only difference a client
+// can observe is the time to the first reply.
 //
 // Prints a table over several n and writes BENCH_snapshot.json with the
 // headline row (n = 5000·scale) that CI's Release smoke step asserts:

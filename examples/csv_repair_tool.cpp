@@ -17,13 +17,14 @@
 //   fd        e.g. "City->Zip" or "Surname,GivenName->Income"
 //   --append  stream the rows of a second CSV (same header arity) into
 //             the session as chunked DeltaBatches via Session::Apply —
-//             the incremental engine patches the indexes in place instead
-//             of rebuilding them — then repair the grown dataset.
+//             the incremental engine patches the difference-set index in
+//             place instead of rebuilding it — then repair the grown
+//             dataset.
 //   --save-snapshot  after loading (and appending), write the session —
-//             data, FDs, difference sets, conflict graph, warm covers —
-//             to a src/persist/ snapshot file before repairing.
+//             data, FDs, difference sets, cached covers — to a
+//             src/persist/ snapshot file before repairing.
 //   --from-snapshot  restore a session from such a file instead of
-//             building one from CSV: the O(n^2) context build is skipped,
+//             building one from CSV: the pair enumeration is skipped,
 //             so no <fd> arguments are taken — the FDs travel in the file.
 //   --policy  search policy for the FD step (default exact): "anytime"
 //             surfaces a first repair fast (within --weight times the
@@ -162,12 +163,12 @@ int AppendRows(Session& session, const std::string& path) {
 
   std::printf("appended %d rows in %d delta batch(es), %.1f ms total "
               "(index patched in place: %lld conflict edges added; last "
-              "batch left %d/%d diff-set groups untouched, kept %zu warm "
-              "covers)\n\n",
+              "batch left %d/%d diff-set groups untouched, dropped %zu "
+              "cached covers)\n\n",
               rows_appended, batches, seconds * 1e3, edges_added,
               last.groups_preserved,
               last.groups_preserved + last.groups_changed,
-              last.covers_kept);
+              last.covers_dropped);
   return 0;
 }
 

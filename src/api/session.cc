@@ -205,7 +205,7 @@ Result<Session> Session::OpenSnapshot(const std::string& path,
     session.context_ = std::make_unique<FdSearchContext>(
         data->sigma, *session.encoded_, *session.weights_,
         session.opts_.heuristic, std::move(data->index),
-        std::move(data->warm));
+        std::move(data->covers));
     session.SyncDerived();
     // Self-check: a restored root δP that disagrees with the saved one
     // means the file lied about its own content.
@@ -239,7 +239,7 @@ Status Session::SaveSnapshot(const std::string& path) const {
     view.encoded = encoded_.get();
     view.sigma = &fds();
     view.index = &context_->index();
-    view.warm = context_->evaluator().ExportWarmState();
+    view.covers = context_->evaluator().memo().ExportEntries();
     return persist::WriteSnapshotFile(path, view);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
@@ -370,6 +370,9 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     // refill lazily on the next Weight() call.
     weights_->Invalidate();
     try {
+      // The delta empties the cover memo (the evaluator is rebuilt over the
+      // patched index), so every cover it holds now is dropped.
+      stats.covers_dropped = context_->evaluator().memo().entries();
       FdSearchContext::DeltaReport report = context_->ApplyDelta(
           *encoded_, plan.dirty, plan.remap, pool());
       SyncDerived();
@@ -377,8 +380,6 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
       stats.edges_added = report.index.edges_added;
       stats.groups_preserved = report.index.groups_preserved;
       stats.groups_changed = report.index.groups_changed;
-      stats.covers_kept = report.evaluator.memo.entries_kept;
-      stats.covers_dropped = report.evaluator.memo.entries_dropped;
     } catch (...) {
       // A half-patched context over the already-mutated instance would be
       // silently wrong (stale tuple ids, unbumped version). Fall back to

@@ -1,7 +1,7 @@
 // retrust::Session — the library's public entry point.
 //
 // Algorithm 1 is a service-shaped computation: one τ-independent context
-// (conflict graph, difference-set index, violation table, cover memo)
+// (difference-set index, violation table, cover memo)
 // answers many (τ, options) repair requests. A Session owns that shape so
 // callers do not wire it by hand: it holds ONE (Σ, I) pair — the dataset
 // and the Σ and weight model it was opened or restored with — and the one
@@ -70,9 +70,11 @@ struct SessionOptions {
 };
 
 /// What one Session::Apply did — the delta's blast radius vs what stayed
-/// warm. `reuse_ratio` close to 1 is the incremental engine's win: the
+/// warm. A delta keeps groups, not covers: the difference-set index is
+/// patched, while the violation table and the cover memo are rebuilt over
+/// it. `reuse_ratio` close to 1 is the incremental engine's win: the
 /// fraction of the context's difference-set groups that survived the delta
-/// untouched (their incidence rows and cached covers were carried over).
+/// untouched.
 struct ApplyStats {
   int tuples_inserted = 0;
   int tuples_updated = 0;   ///< update entries applied (cells, not tuples)
@@ -83,10 +85,14 @@ struct ApplyStats {
   int64_t edges_added = 0;    ///< conflict edges the delta discovered
   int groups_preserved = 0;   ///< diff-set groups carried over untouched
   int groups_changed = 0;     ///< diff-set groups rebuilt or new
-  size_t covers_kept = 0;     ///< memoized covers remapped and kept warm
-  size_t covers_dropped = 0;  ///< memoized covers invalidated
+  /// Always 0: a delta empties the cover memo. Kept for the readers of
+  /// this struct that still report it (perfbench's replay).
+  size_t covers_kept = 0;
+  size_t covers_dropped = 0;  ///< memoized covers the delta dropped (all)
   double seconds = 0.0;       ///< wall-clock of the whole Apply
 
+  /// groups_preserved / (groups_preserved + groups_changed); 1 when the
+  /// index has no groups. It measures the index patch only.
   double reuse_ratio() const {
     int total = groups_preserved + groups_changed;
     return total == 0 ? 1.0
@@ -187,8 +193,8 @@ class Session {
                                  SessionOptions opts = {});
 
   /// Opens a session from a snapshot file (src/persist/), adopting the
-  /// saved dataset, Σ, difference-set index, and warm caches instead of
-  /// paying the O(n²) context build — answers are bit-identical to a
+  /// saved dataset, Σ, difference-set index, and cached covers instead of
+  /// enumerating the violating pairs again — answers are bit-identical to a
   /// session opened from the original data, at any thread count (the
   /// snapshot fingerprint deliberately excludes `opts.exec`). The caller's
   /// (weights, heuristic) must match what the snapshot was saved under:
@@ -198,7 +204,7 @@ class Session {
   static Result<Session> OpenSnapshot(const std::string& path,
                                       SessionOptions opts = {});
 
-  /// Saves the live dataset plus the context's warm state to
+  /// Saves the live dataset, the context's index and its cached covers to
   /// `path`. Safe against concurrent const requests (takes the snapshot
   /// lock shared — a concurrent Apply is excluded, so the file is a
   /// consistent cut at one DataVersion()).
@@ -229,12 +235,12 @@ class Session {
 
   /// Applies a batch of tuple inserts/updates/deletes to the live dataset
   /// and delta-maintains the context in place: the difference-set index
-  /// only re-examines pairs with a mutated endpoint (O(Δ·n) instead of the
-  /// O(n²) rebuild), preserved groups keep their violation-table rows and
-  /// their memoized covers, and the context's version is bumped. A repair
-  /// issued right after an Apply therefore reuses everything outside the
-  /// delta's blast radius; should the patch itself fail, the context is
-  /// rebuilt from scratch over the mutated data instead.
+  /// only re-examines pairs with a mutated endpoint (O(Δ·n)) and keeps
+  /// every group outside the delta's blast radius, the violation table and
+  /// the cover memo are rebuilt over the patched index (the memo starts
+  /// empty), and the context's version is bumped. Should the patch itself
+  /// fail, the context is rebuilt from scratch over the mutated data
+  /// instead.
   /// Post-delta answers are bit-identical to a session freshly opened over
   /// the mutated data. Safe to call concurrently with the const request
   /// methods (it takes the snapshot lock exclusively; in-flight requests

@@ -215,19 +215,15 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   }
 
   // 4. Re-rank in the canonical (frequency desc, diff asc) order and
-  // translate preserved group ids.
+  // count the preserved groups.
   work.erase(std::remove_if(work.begin(), work.end(),
                             [](const Work& w) { return w.edges.empty(); }),
              work.end());
   RankGroups(&work);
-  patch.old_to_new.assign(groups_.size(), -1);
   groups_.clear();
   groups_.reserve(work.size());
   for (size_t i = 0; i < work.size(); ++i) {
-    if (work[i].old_id >= 0 && !work[i].changed) {
-      patch.old_to_new[work[i].old_id] = static_cast<int32_t>(i);
-      ++patch.groups_preserved;
-    }
+    if (work[i].old_id >= 0 && !work[i].changed) ++patch.groups_preserved;
     groups_.push_back({work[i].diff, std::move(work[i].edges)});
   }
   patch.groups_changed = static_cast<int>(groups_.size()) -

@@ -28,6 +28,12 @@
 // threads: lookups/inserts are mutex-guarded, computations run outside the
 // lock on pooled scratch owned by the memo and released when it dies (no
 // process-lifetime thread_local pinning).
+//
+// Keys name groups by their position in the canonical order, and a delta
+// re-ranks the groups, so a delta empties the memo (Reset); few cached
+// keys would survive one anyway (DESIGN.md "Incremental maintenance"). A
+// snapshot carries the cached covers across a save/load, where the group
+// family is the same (ExportEntries/Preload).
 
 #ifndef RETRUST_GRAPH_COVER_MEMO_H_
 #define RETRUST_GRAPH_COVER_MEMO_H_
@@ -62,12 +68,6 @@ class CoverMemo {
     }
   };
 
-  /// What Rebind kept warm vs dropped (for ApplyStats/observability).
-  struct RebindStats {
-    size_t entries_kept = 0;
-    size_t entries_dropped = 0;
-  };
-
   /// The memo's cached covers in serialization form (src/persist/). Values
   /// are pure functions of their keys, so carrying entries across a
   /// save/load can only change wall-clock time, never a result.
@@ -83,20 +83,14 @@ class CoverMemo {
   CoverMemo(std::vector<const std::vector<Edge>*> groups,
             int32_t num_vertices, size_t max_entries = size_t{1} << 20);
 
-  /// Rebinds the memo to a delta-patched group family: `groups` replaces
-  /// the edge-list bindings and `old_to_new` is the IndexPatch id
-  /// translation (-1 = group changed or dropped). Cached covers whose key
-  /// touches only preserved groups are REMAPPED and stay warm — valid
-  /// because preserved groups keep their edge lists and their relative
-  /// order under the canonical (frequency, diff) ranking, so a fresh
-  /// ascending-order greedy scan of the remapped key replays the cached
-  /// one move for move. Everything else (and all prefix-resume scratch
-  /// hints, which are keyed by old ids) is dropped. Requires external
+  /// Rebinds the memo to a new group family (a delta-patched index):
+  /// `groups` replaces the edge-list bindings, and every cached cover and
+  /// every prefix-resume hint is dropped, so the memo answers exactly like
+  /// a freshly constructed one (stats() stays monotone). Requires external
   /// exclusion against concurrent queries (the session's version layer
   /// provides it).
-  RebindStats Rebind(std::vector<const std::vector<Edge>*> groups,
-                     int32_t num_vertices,
-                     const std::vector<int32_t>& old_to_new);
+  void Reset(std::vector<const std::vector<Edge>*> groups,
+             int32_t num_vertices);
 
   /// Matching-cover size of the union of the set groups' edges, scanned in
   /// ascending group-index order (the canonical state-evaluation order).

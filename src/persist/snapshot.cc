@@ -23,8 +23,7 @@ namespace {
 //   codes column-major (m columns of n i32 each, attribute order),
 //   next_var (m i32),
 //   sigma{u32 count; per FD: u64 lhs, i32 rhs},
-//   index{u32 groups; per group: u64 diff, u64 edges, i32 pairs},
-//   table rows (one u64 per group),
+//   index{u32 groups; per group: u64 diff, u64 edges, edges as i32 u, v},
 //   covers{u64 set count; per entry: words + i32 value;
 //          u64 seq count; per entry: u64 len, i32 ids, i32 value}.
 
@@ -179,15 +178,13 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
     }
   }
 
-  for (uint64_t row : view.warm.table_rows) w.U64(row);
-
-  w.U64(view.warm.covers.set_entries.size());
-  for (const auto& [key, value] : view.warm.covers.set_entries) {
+  w.U64(view.covers.set_entries.size());
+  for (const auto& [key, value] : view.covers.set_entries) {
     for (uint64_t word : key.words()) w.U64(word);
     w.I32(value);
   }
-  w.U64(view.warm.covers.seq_entries.size());
-  for (const auto& [seq, value] : view.warm.covers.seq_entries) {
+  w.U64(view.covers.seq_entries.size());
+  for (const auto& [seq, value] : view.covers.seq_entries) {
     w.U64(seq.size());
     for (int32_t g : seq) w.I32(g);
     w.I32(value);
@@ -332,17 +329,6 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     }
     data.index = DifferenceSetIndex(std::move(groups));
 
-    // A table row is an FD mask: bit i set = FD i of Σ is violated.
-    const uint64_t fd_bits =
-        num_fds == 64 ? ~uint64_t{0} : (uint64_t{1} << num_fds) - 1;
-    data.warm.table_rows.resize(num_groups);
-    for (uint64_t& row : data.warm.table_rows) {
-      row = r.U64();
-      if ((row & ~fd_bits) != 0) {
-        return IoError("snapshot '" + path + "' has an out-of-range FD mask");
-      }
-    }
-
     const size_t words_per_key = (static_cast<size_t>(num_groups) + 63) / 64;
     // Valid bits of a key's last word (group ids < num_groups).
     const uint64_t tail_bits = num_groups % 64 == 0
@@ -352,7 +338,7 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     if (!PlausibleCount(num_set, r)) {
       return IoError("snapshot '" + path + "' has an implausible cover memo");
     }
-    data.warm.covers.set_entries.reserve(static_cast<size_t>(num_set));
+    data.covers.set_entries.reserve(static_cast<size_t>(num_set));
     for (uint64_t i = 0; i < num_set; ++i) {
       GroupBitset key(static_cast<int>(num_groups));
       for (size_t word = 0; word < words_per_key; ++word) {
@@ -367,13 +353,13 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
         }
       }
       const int32_t value = r.I32();
-      data.warm.covers.set_entries.emplace_back(std::move(key), value);
+      data.covers.set_entries.emplace_back(std::move(key), value);
     }
     const uint64_t num_seq = r.U64();
     if (!PlausibleCount(num_seq, r)) {
       return IoError("snapshot '" + path + "' has an implausible cover memo");
     }
-    data.warm.covers.seq_entries.reserve(static_cast<size_t>(num_seq));
+    data.covers.seq_entries.reserve(static_cast<size_t>(num_seq));
     for (uint64_t i = 0; i < num_seq; ++i) {
       const uint64_t len = r.U64();
       if (!PlausibleCount(len, r)) {
@@ -388,7 +374,7 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
         }
       }
       const int32_t value = r.I32();
-      data.warm.covers.seq_entries.emplace_back(std::move(seq), value);
+      data.covers.seq_entries.emplace_back(std::move(seq), value);
     }
   } catch (const std::exception& e) {
     return IoError("snapshot '" + path + "' is corrupt: " + e.what());

@@ -3,13 +3,14 @@
 // format & warm restart").
 //
 // A snapshot serializes everything a retrust::Session needs to answer
-// requests WITHOUT re-running the O(n²) conflict-graph/difference-set
-// build: the dictionary-encoded instance (with its fresh-variable
-// counters), Σ, the difference-set index, the violation table's incidence
-// rows, and the cover memo's cached values. Loading is a linear read plus
-// cheap reconstructions (dictionary indexes, candidate lists) — the
-// expensive pairwise phase is skipped entirely, and a restored session's
-// answers are bit-identical to a from-scratch build at any thread count.
+// requests WITHOUT enumerating the violating pairs again: the
+// dictionary-encoded instance (with its fresh-variable counters), Σ, the
+// difference-set index, and the cover memo's cached values. Loading is a
+// linear read plus cheap reconstructions (dictionary indexes, the
+// violation table, which is a one-pass function of Σ and the groups'
+// difference sets) — the pairwise phase is skipped entirely, and a
+// restored session's answers are bit-identical to a from-scratch build at
+// any thread count.
 //
 // File layout (all integers little-endian):
 //
@@ -39,9 +40,10 @@
 #include <vector>
 
 #include "src/api/status.h"
+#include "src/fd/difference_set.h"
 #include "src/fd/fdset.h"
+#include "src/graph/cover_memo.h"
 #include "src/relational/dictionary.h"
-#include "src/repair/evaluation.h"
 #include "src/repair/heuristic.h"
 
 namespace retrust::persist {
@@ -54,10 +56,13 @@ inline constexpr char kSnapshotMagic[8] = {'R', 'T', 'S', 'N',
 /// per-group counted-pair field for full-disagreement groups whose edges
 /// are never materialized; v3 dropped v2's second fresh-variable counter
 /// array, which mirrored a decoded instance the session no longer keeps;
-/// v4 (current) drops the per-group counted-pair field — every group
-/// stores its edges, the full-disagreement group under an empty-LHS FD
-/// included. v1–v3 files report kVersionMismatch and must be re-saved.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// v4 dropped the per-group counted-pair field — every group stores its
+/// edges, the full-disagreement group under an empty-LHS FD included;
+/// v5 (current) drops the violation table's per-group FD-mask rows, since
+/// a restore builds the table from Σ and the restored index. v1–v4 files
+/// report kVersionMismatch and must be re-saved (from their CSV, or by
+/// SaveSnapshot from a session opened on this build).
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// The (Σ, weights, heuristic) identity of a snapshot: a session may only
 /// adopt a snapshot whose fingerprint matches its own configuration.
@@ -71,7 +76,7 @@ uint64_t ConfigFingerprint(const FDSet& sigma, uint8_t weight_model,
 uint64_t DataStamp(const EncodedInstance& inst);
 
 /// Borrowed view of everything WriteSnapshotFile serializes; the pointees
-/// must outlive the call. `warm` is held by value because exporting it
+/// must outlive the call. `covers` is held by value because exporting it
 /// already copies (CoverMemo::ExportEntries).
 struct SnapshotView {
   uint64_t fingerprint = 0;
@@ -83,7 +88,7 @@ struct SnapshotView {
   const EncodedInstance* encoded = nullptr;
   const FDSet* sigma = nullptr;
   const DifferenceSetIndex* index = nullptr;
-  DeltaPEvaluator::WarmState warm;
+  CoverMemo::SnapshotEntries covers;
 };
 
 /// Owning result of ReadSnapshotFile: the same parts, reconstructed.
@@ -97,7 +102,7 @@ struct SnapshotData {
   EncodedInstance encoded;
   FDSet sigma;
   DifferenceSetIndex index;
-  DeltaPEvaluator::WarmState warm;
+  CoverMemo::SnapshotEntries covers;
 };
 
 /// Serializes `view` to `path` atomically enough for the service's needs:

@@ -17,9 +17,9 @@
 //
 // PlanDelta resolves a batch into a DeltaPlan — the old->new id remap, the
 // explicit row moves, and the set of "dirty" post-delta ids whose content
-// is new, changed, or relocated. Derived structures (difference-set index,
-// violation table, cover memo) are patched by comparing only dirty tuples
-// against the relation: O(Δ·n) instead of the O(n²) full rebuild.
+// is new, changed, or relocated. The difference-set index is patched by
+// comparing only dirty tuples against the relation, O(Δ·n), and the
+// evaluator over it (violation table, cover memo) is rebuilt.
 
 #ifndef RETRUST_RELATIONAL_DELTA_H_
 #define RETRUST_RELATIONAL_DELTA_H_

@@ -16,33 +16,16 @@ std::vector<const std::vector<Edge>*> GroupEdgeLists(
 
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
-                                 int num_tuples, exec::ThreadPool* pool)
-    : table_(sigma, index, pool),
-      memo_(GroupEdgeLists(index), num_tuples) {}
-
-DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
-                                 const DifferenceSetIndex& index,
-                                 int num_tuples, WarmState warm)
-    : table_(sigma, index, std::move(warm.table_rows)),
-      memo_(GroupEdgeLists(index), num_tuples) {
-  memo_.Preload(std::move(warm.covers));
+                                 int num_tuples,
+                                 CoverMemo::SnapshotEntries covers)
+    : table_(sigma, index), memo_(GroupEdgeLists(index), num_tuples) {
+  memo_.Preload(std::move(covers));
 }
 
-DeltaPEvaluator::WarmState DeltaPEvaluator::ExportWarmState() const {
-  WarmState warm;
-  warm.table_rows = table_.fd_masks();
-  warm.covers = memo_.ExportEntries();
-  return warm;
-}
-
-DeltaPEvaluator::PatchStats DeltaPEvaluator::ApplyDelta(
-    const FDSet& sigma, const DifferenceSetIndex& index, int num_tuples,
-    const std::vector<int32_t>& old_to_new, exec::ThreadPool* pool) {
-  PatchStats stats;
-  stats.table_groups_recomputed =
-      table_.ApplyPatch(sigma, index, old_to_new, pool);
-  stats.memo = memo_.Rebind(GroupEdgeLists(index), num_tuples, old_to_new);
-  return stats;
+void DeltaPEvaluator::Reset(const FDSet& sigma,
+                            const DifferenceSetIndex& index, int num_tuples) {
+  table_ = ViolationTable(sigma, index);
+  memo_.Reset(GroupEdgeLists(index), num_tuples);
 }
 
 std::vector<int> DeltaPEvaluator::ViolatedGroupIds(

@@ -9,10 +9,13 @@
 // ViolationTable and one CoverMemo serve every search, and every τ job of
 // an exec/ sweep, over a given (Σ, I).
 //
-// Every method is const and thread-safe, and every result is bit-identical
-// to the legacy per-state FD-set scans this layer replaced
+// Every query method is const and thread-safe, and every result is
+// bit-identical to the legacy per-state FD-set scans this layer replaced
 // (tests/evaluator_oracle_test.cc enforces the equivalence against
-// re-implementations of the legacy path).
+// re-implementations of the legacy path). The evaluator is built one way,
+// over an index: after a delta it is rebuilt over the patched index
+// (Reset), and a snapshot restore builds it over the restored index and
+// preloads the saved covers.
 
 #ifndef RETRUST_REPAIR_EVALUATION_H_
 #define RETRUST_REPAIR_EVALUATION_H_
@@ -30,49 +33,21 @@ namespace retrust {
 /// Evaluates δP building blocks for the states of one (Σ, I) search.
 class DeltaPEvaluator {
  public:
-  /// Builds the violation table (sharded on `pool`, nullable = serial;
-  /// bit-identical for any pool size) and an empty cover memo over the
-  /// index's groups. `index` must outlive the evaluator (FdSearchContext
-  /// owns both, index first).
+  /// Builds the violation table and a cover memo over the index's groups,
+  /// seeded with `covers` (a snapshot's cached covers; empty for a cold
+  /// build). `index` must outlive the evaluator (FdSearchContext owns
+  /// both, index first). Answers are bit-identical whatever `covers` holds:
+  /// cached cover values are pure functions of their keys.
   DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
-                  int num_tuples, exec::ThreadPool* pool = nullptr);
+                  int num_tuples, CoverMemo::SnapshotEntries covers = {});
 
-  /// The evaluator's serialized caches (src/persist/): the violation
-  /// table's incidence rows plus the memo's cached covers.
-  struct WarmState {
-    std::vector<uint64_t> table_rows;
-    CoverMemo::SnapshotEntries covers;
-  };
-
-  /// Restores an evaluator from a snapshot's warm state: the table is
-  /// rebuilt from its saved incidence rows (no per-group recomputation)
-  /// and the cover memo is pre-seeded. Answers are bit-identical to a
-  /// freshly built evaluator — cached cover values are pure functions of
-  /// their keys. Throws std::invalid_argument when `warm.table_rows` does
-  /// not match the index.
-  DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
-                  int num_tuples, WarmState warm);
-
-  /// Exports the warm state a snapshot saves (deterministic byte-for-byte
-  /// given the same cache contents).
-  WarmState ExportWarmState() const;
-
-  /// What a delta did to the evaluator's caches.
-  struct PatchStats {
-    int table_groups_recomputed = 0;
-    CoverMemo::RebindStats memo;
-  };
-
-  /// Incrementally maintains the evaluator after `index` (the SAME index
-  /// this evaluator was built over) was patched by a delta: preserved
-  /// incidence rows are copied, changed ones recomputed (sharded on
-  /// `pool`, nullable = serial), and cached covers over preserved groups
-  /// are remapped instead of dropped. Post-patch answers are bit-identical
-  /// to a freshly built evaluator. Requires external exclusion against
-  /// concurrent queries (the session's version layer provides it).
-  PatchStats ApplyDelta(const FDSet& sigma, const DifferenceSetIndex& index,
-                        int num_tuples, const std::vector<int32_t>& old_to_new,
-                        exec::ThreadPool* pool);
+  /// Rebuilds the evaluator over `index` after a delta patched it in place
+  /// (the SAME index this evaluator was built over): a new violation table
+  /// and an empty cover memo, exactly what a fresh build holds. Requires
+  /// external exclusion against concurrent queries (the session's version
+  /// layer provides it).
+  void Reset(const FDSet& sigma, const DifferenceSetIndex& index,
+             int num_tuples);
 
   const ViolationTable& table() const { return table_; }
   const CoverMemo& memo() const { return memo_; }

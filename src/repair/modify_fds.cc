@@ -1,6 +1,5 @@
 #include "src/repair/modify_fds.h"
 
-#include "src/fd/conflict_graph.h"
 #include "src/search/engine.h"
 
 namespace retrust {
@@ -17,7 +16,7 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                      DiffSetBuildMode::kBlocked,
                                      &build_stats_)),
       evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
-                                                   inst.NumTuples(), pool)),
+                                                   inst.NumTuples())),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
                  evaluator_.get()) {}
@@ -27,14 +26,14 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                  const WeightFunction& weights,
                                  const HeuristicOptions& hopts,
                                  DifferenceSetIndex index,
-                                 DeltaPEvaluator::WarmState warm)
+                                 CoverMemo::SnapshotEntries covers)
     : sigma_(sigma),
       num_tuples_(inst.NumTuples()),
       space_(sigma, inst.schema()),
       index_(std::move(index)),
       evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
                                                    inst.NumTuples(),
-                                                   std::move(warm))),
+                                                   std::move(covers))),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
                  evaluator_.get()) {}
@@ -44,8 +43,7 @@ FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
     const std::vector<TupleId>& remap, exec::ThreadPool* pool) {
   DeltaReport report;
   report.index = index_.ApplyDelta(inst, sigma_, dirty, remap, pool);
-  report.evaluator = evaluator_->ApplyDelta(
-      sigma_, index_, inst.NumTuples(), report.index.old_to_new, pool);
+  evaluator_->Reset(sigma_, index_, inst.NumTuples());
   num_tuples_ = inst.NumTuples();
   heuristic_.SetNumTuples(inst.NumTuples());
   report.version = version_.fetch_add(1, std::memory_order_acq_rel) + 1;

@@ -7,7 +7,9 @@
 // The conflict graph of any relaxation Σ' is a subgraph of Σ's conflict
 // graph (relaxations only remove violations), so the search precomputes Σ's
 // difference-set index once and evaluates every candidate Σ' by filtering
-// edge groups — no per-state conflict-graph rebuild.
+// edge groups — no per-state conflict-graph rebuild. A delta patches that
+// index and rebuilds the evaluation layer over it (FdSearchContext::
+// ApplyDelta); only the index is maintained incrementally.
 
 #ifndef RETRUST_REPAIR_MODIFY_FDS_H_
 #define RETRUST_REPAIR_MODIFY_FDS_H_
@@ -97,53 +99,53 @@ struct ModifyFdsResult {
 };
 
 /// Precomputed, τ-independent context shared by searches over one (Σ, I):
-/// the conflict graph of Σ, its difference-set index, the δP evaluation
-/// layer (violation incidence table + memoized covers), state space, and
-/// heuristic. Build once, run ModifyFds/FindRepairsFds many times — also
-/// concurrently: every const method is thread-safe (pooled scratch owned
-/// by the evaluation layer, mutex-guarded memos), which is what the
-/// exec/ sweep runners rely on; sweep jobs share the table AND the cover
-/// memo. Each search itself runs serially on its caller's thread.
+/// Σ's difference-set index (its conflict edges, grouped by difference
+/// set), the δP evaluation layer (violation incidence table + memoized
+/// covers), state space, and heuristic. Build once, run
+/// ModifyFds/FindRepairsFds many times — also concurrently: every const
+/// method is thread-safe (pooled scratch owned by the evaluation layer,
+/// mutex-guarded memos), which is what the exec/ sweep runners rely on;
+/// sweep jobs share the table AND the cover memo. Each search itself runs
+/// serially on its caller's thread.
 class FdSearchContext {
  public:
-  /// The difference-set index (BuildDifferenceSetIndex, blocked) and the
-  /// violation table are built sharded on `pool` (nullable = serial, not
-  /// owned; identical output for any pool size). The context does not
-  /// read `inst` after construction; ApplyDelta takes it again.
+  /// The difference-set index (BuildDifferenceSetIndex, blocked) is built
+  /// sharded on `pool` (nullable = serial, not owned; identical output for
+  /// any pool size). The context does not read `inst` after construction;
+  /// ApplyDelta takes it again.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts = {},
                   exec::ThreadPool* pool = nullptr);
 
   /// Restore construction (src/persist/): adopts a pre-built difference-set
-  /// index and the evaluator's warm caches instead of paying the O(n²)
-  /// conflict-graph/difference-set build — the whole point of a snapshot.
-  /// `index` and `warm` must have been exported from a context over the
-  /// SAME (Σ, I); answers are then bit-identical to a fresh build at any
-  /// thread count. Throws std::invalid_argument on shape mismatches.
+  /// index instead of enumerating the violating pairs again — the whole
+  /// point of a snapshot — builds the violation table over it, and
+  /// preloads the cover memo with `covers`. `index` and `covers` must have
+  /// been exported from a context over the SAME (Σ, I); answers are then
+  /// bit-identical to a fresh build at any thread count.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts, DifferenceSetIndex index,
-                  DeltaPEvaluator::WarmState warm);
+                  CoverMemo::SnapshotEntries covers);
 
-  /// Aggregate of what one delta did to this context's structures.
+  /// What one delta did to this context.
   struct DeltaReport {
     IndexPatch index;
-    DeltaPEvaluator::PatchStats evaluator;
     uint64_t version = 0;  ///< the context version after the patch
   };
 
   /// Delta-maintains the context after `inst` — the SAME instance this
   /// context was built over — had a DeltaBatch applied in place (delta.h).
   /// `dirty`/`remap` come from the batch's DeltaPlan. The difference-set
-  /// index is patched in O(Δ·n) (sharded on `pool`, nullable = serial),
-  /// the violation table copies preserved incidence rows, and warm covers
-  /// over preserved groups are remapped; every post-delta answer is
-  /// BIT-IDENTICAL to a context freshly built over the mutated instance,
-  /// for any pool size. Bumps version(); an exec/ sweep in flight detects
-  /// the bump and refuses to mix snapshots. NOT safe against concurrent
-  /// const use — callers serialize deltas against queries
-  /// (retrust::Session does this with a shared/exclusive lock).
+  /// index is patched in O(Δ·n) (sharded on `pool`, nullable = serial) and
+  /// the evaluator is rebuilt over it (a new violation table, an empty
+  /// cover memo), so the context holds exactly what a context freshly
+  /// built over the mutated instance holds, for any pool size. Bumps
+  /// version(); an exec/ sweep in flight detects the bump and refuses to
+  /// mix snapshots. NOT safe against concurrent const use — callers
+  /// serialize deltas against queries (retrust::Session does this with a
+  /// shared/exclusive lock).
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/fd/conflict_graph.h"
 #include "src/fd/difference_set.h"
 #include "src/graph/vertex_cover.h"
 

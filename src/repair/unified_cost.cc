@@ -1,6 +1,5 @@
 #include "src/repair/unified_cost.h"
 
-#include "src/fd/conflict_graph.h"
 #include "src/graph/vertex_cover.h"
 #include "src/util/timer.h"
 

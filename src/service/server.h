@@ -200,7 +200,7 @@ class Server {
                        std::vector<std::string> fd_texts,
                        std::optional<SessionOptions> opts = std::nullopt);
   /// Lazy snapshot-backed tenant: the first request restores the file via
-  /// Session::OpenSnapshot (warm caches included, no O(n²) build).
+  /// Session::OpenSnapshot (cached covers included, no pair enumeration).
   Status LoadSnapshotTenant(const std::string& name,
                             std::string snapshot_path,
                             std::optional<SessionOptions> opts = std::nullopt);

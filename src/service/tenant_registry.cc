@@ -18,7 +18,7 @@ Status TenantRegistry::Add(const std::string& name, Instance data,
                            const std::vector<std::string>& fd_texts,
                            std::optional<SessionOptions> opts) {
   {
-    // Reject duplicates before paying the O(n²) Session build; the
+    // Reject duplicates before paying for the Session build; the
     // post-build try_emplace still settles a registration race.
     std::lock_guard<std::mutex> lock(mu_);
     if (tenants_.count(name) != 0) {

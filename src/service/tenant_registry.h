@@ -12,8 +12,8 @@
 //     (kIoError/kInvalidFd/...). A failed lazy open is retried on the
 //     next use, so a dataset that appears later just works.
 //   * AddSnapshot(...) — lazy like AddCsv, but the first use restores a
-//     src/persist/ snapshot (Session::OpenSnapshot): the O(n²) context
-//     build is skipped and the warm caches come back with it.
+//     src/persist/ snapshot (Session::OpenSnapshot): the pair enumeration
+//     is skipped and the cached covers come back with it.
 //
 // Hot-tenant lifecycle: every loaded tenant keeps a RELOAD SPEC (the CSV
 // path it was opened from, or its latest snapshot), so an idle tenant can

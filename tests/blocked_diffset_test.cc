@@ -13,7 +13,6 @@
 
 #include "src/exec/thread_pool.h"
 #include "src/fd/difference_set.h"
-#include "src/fd/violation_table.h"
 #include "src/relational/delta.h"
 #include "src/repair/modify_fds.h"
 #include "src/repair/weights.h"
@@ -112,19 +111,16 @@ void ExpectSameSearch(const ModifyFdsResult& got, const ModifyFdsResult& want) {
 }
 
 /// A search context over the naive (conflict-graph pair scan) index: the
-/// restore constructor adopts it with a freshly built violation table and
-/// a cold cover memo — exactly what a from-scratch build would hold.
+/// restore constructor adopts it, builds the violation table over it and
+/// starts with a cold cover memo — exactly what a from-scratch build holds.
 std::unique_ptr<FdSearchContext> NaiveContext(const FDSet& sigma,
                                               const EncodedInstance& enc,
                                               const WeightFunction& weights,
                                               exec::ThreadPool* pool) {
-  DifferenceSetIndex index =
-      BuildDifferenceSetIndex(enc, sigma, pool, DiffSetBuildMode::kNaive);
-  DeltaPEvaluator::WarmState cold;
-  cold.table_rows = ViolationTable(sigma, index).fd_masks();
-  return std::make_unique<FdSearchContext>(sigma, enc, weights,
-                                           HeuristicOptions{},
-                                           std::move(index), std::move(cold));
+  return std::make_unique<FdSearchContext>(
+      sigma, enc, weights, HeuristicOptions{},
+      BuildDifferenceSetIndex(enc, sigma, pool, DiffSetBuildMode::kNaive),
+      CoverMemo::SnapshotEntries{});
 }
 
 // --- Blocked == naive, randomized, across thread counts ------------------

@@ -1,11 +1,11 @@
 // Oracle tests for the incremental update engine: after ANY interleaving
 // of tuple inserts, cell updates, and deletes, the delta-maintained
-// structures (difference-set index, violation table, cover memo answers,
-// search results) must be BIT-IDENTICAL to a from-scratch rebuild over the
-// mutated instance — for any thread count. Plus the snapshot-version
-// contract: a sweep after a delta answers for the new data, and a delta
-// cannot interleave with a Session request (suites named Exec* run under
-// CI's TSan job).
+// structures (difference-set index, violation table, cover memo answers
+// and counters, search results) must be BIT-IDENTICAL to a from-scratch
+// rebuild over the mutated instance — for any thread count. Plus the
+// snapshot-version contract: a sweep after a delta answers for the new
+// data, and a delta cannot interleave with a Session request (suites named
+// Exec* run under CI's TSan job).
 
 #include <gtest/gtest.h>
 
@@ -139,12 +139,17 @@ TEST_P(IncrementalOracle, RandomInterleavingsMatchRebuild) {
       }
     }
 
-    // From-scratch rebuild over the SAME mutated encoded instance, serial.
+    // The delta rebuilt the evaluator: an empty memo and the table a
+    // from-scratch build over the SAME mutated encoded instance holds.
+    EXPECT_EQ(ctx.evaluator().memo().entries(), 0u) << "step " << step;
     FdSearchContext fresh(sigma, enc, weights);
+    EXPECT_EQ(ctx.evaluator().table().fd_masks(),
+              fresh.evaluator().table().fd_masks())
+        << "step " << step;
     ExpectIndexEqual(ctx.index(), fresh.index());
     EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP()) << "step " << step;
 
-    // Cover answers through the (remapped) memo match a cold evaluator.
+    // Cover answers through the rebuilt memo match a cold evaluator.
     for (int probe = 0; probe < 15; ++probe) {
       SearchState s = RandomState(rng, ctx.space());
       EXPECT_EQ(ctx.CoverSize(s, nullptr), fresh.CoverSize(s, nullptr))
@@ -158,6 +163,12 @@ TEST_P(IncrementalOracle, RandomInterleavingsMatchRebuild) {
       ASSERT_EQ(got.repair.has_value(), want.repair.has_value())
           << "step " << step << " tau " << tau;
       EXPECT_EQ(got.stats.states_visited, want.stats.states_visited);
+      // Both memos saw the same queries from empty, so they answer them
+      // the same way.
+      EXPECT_EQ(got.stats.vc_computations, want.stats.vc_computations)
+          << "step " << step << " tau " << tau;
+      EXPECT_EQ(got.stats.vc_memo_hits, want.stats.vc_memo_hits)
+          << "step " << step << " tau " << tau;
       if (got.repair.has_value()) {
         EXPECT_EQ(got.repair->state.ext, want.repair->state.ext);
         EXPECT_EQ(got.repair->distc, want.repair->distc);
@@ -282,14 +293,19 @@ TEST(IncrementalSession, ApplyMatchesFreshOpen) {
   Result<Session> session =
       Session::Open(RandomInstance(rng, 30, 5, 3), TestSigma());
   ASSERT_TRUE(session.ok());
-  // Warm the context (memo entries that Apply must remap or drop).
+  // Warm the context (memo entries that Apply must drop).
   ASSERT_TRUE(session->Repair(RepairRequest::AtRelative(0.5)).ok());
 
   for (int step = 0; step < 6; ++step) {
     DeltaBatch delta =
         RandomDelta(rng, session->NumTuples(), 5, 3);
+    const size_t cached = session->context().evaluator().memo().entries();
     Result<ApplyStats> stats = session->Apply(delta);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!delta.Empty()) {
+      EXPECT_EQ(stats->covers_kept, 0u) << "step " << step;
+      EXPECT_EQ(stats->covers_dropped, cached) << "step " << step;
+    }
 
     Result<Session> fresh =
         Session::Open(session->data().Decode(), TestSigma());

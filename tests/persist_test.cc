@@ -336,8 +336,8 @@ TEST_F(SnapshotCorruption, FutureFormatVersionIsVersionMismatch) {
   // Patch the version field and RE-COMPUTE the checksum, so the only
   // thing wrong with the file is the version — the reader must classify
   // it as kVersionMismatch, not generic corruption. The previous version
-  // (v3, which carried a per-group counted-pair field) is refused the same
-  // way: such a file must be re-saved.
+  // (v4, which carried the violation table's per-group FD-mask rows) is
+  // refused the same way: such a file must be re-saved.
   for (uint32_t version : {persist::kSnapshotFormatVersion + 1,
                            persist::kSnapshotFormatVersion - 1}) {
     std::string patched = bytes_;
